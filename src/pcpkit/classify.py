@@ -17,13 +17,11 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidInputError
 from .solver import (
     SolveConfig,
-    _minmap_fns,
-    _newton_batch,
+    _orthant_sphere_roots,
     certify_unsolvable,
     check_sol_infty_zero,
     enumerate_solutions,
@@ -220,6 +218,24 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _projected_descent(obj, grad, project, x0: np.ndarray, step: float, iters: int):
+    """Projected gradient descent with a max-norm-scaled step, halved after
+    every rejected move; returns the last accepted (x, obj(x))."""
+    x = x0.copy()
+    fx = obj(x)
+    for _ in range(iters):
+        g = grad(x)
+        xn = project(x - step * g / max(1.0, float(np.abs(g).max())))
+        fn = obj(xn)
+        if fn < fx - 1e-16:
+            x, fx = xn, fn
+        else:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return x, fx
+
+
 def is_copositive(
     F: MapLike,
     mode: str = "sample",
@@ -283,51 +299,32 @@ def is_copositive(
     best_val = float(vals.min())
     best_x = X[int(np.argmin(vals))].copy()
 
+    def phi(x):
+        return float(phi_batch(x[None, :])[0])
+
+    def phi_grad(x):
+        return Fm.jacobian(x).T @ x + Fm.eval(x)
+
     def polish(x0):
-        if homogeneous:
-            if mode == "simplex-minimize":
-                res = minimize(
-                    lambda v: float(phi_batch(np.maximum(v, 0.0)[None, :])[0]),
-                    x0,
-                    method="SLSQP",
-                    bounds=[(0.0, 1.0)] * n,
-                    constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1.0}],
-                    options={"maxiter": 200, "ftol": 1e-14},
-                )
-                return _project_simplex(np.asarray(res.x))
-            x = x0.copy()
-            step = 0.1
-            fx = float(phi_batch(x[None, :])[0])
-            for _ in range(200):
-                g = Fm.jacobian(x).T @ x + Fm.eval(x)
-                xn = _project_simplex(x - step * g / max(1.0, float(np.abs(g).max())))
-                fn = float(phi_batch(xn[None, :])[0])
-                if fn < fx - 1e-16:
-                    x, fx = xn, fn
-                else:
-                    step *= 0.5
-                    if step < 1e-12:
-                        break
-            return x
-        # general map on the box sweep: projected gradient with clipping
-        x = x0.copy()
-        step = 0.1
-        fx = float(phi_batch(x[None, :])[0])
-        for _ in range(200):
-            g = Fm.jacobian(x).T @ x + Fm.eval(x)
-            xn = np.clip(x - step * g / max(1.0, float(np.abs(g).max())), 0.0, 4.0)
-            fn = float(phi_batch(xn[None, :])[0])
-            if fn < fx - 1e-16:
-                x, fx = xn, fn
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        return x
+        if homogeneous and mode == "simplex-minimize":
+            from scipy.optimize import minimize
+
+            res = minimize(
+                lambda v: phi(np.maximum(v, 0.0)),
+                x0,
+                method="SLSQP",
+                bounds=[(0.0, 1.0)] * n,
+                constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1.0}],
+                options={"maxiter": 200, "ftol": 1e-14},
+            )
+            return _project_simplex(np.asarray(res.x))
+        # the simplex for homogeneous maps, the box sweep's [0, 4]^n otherwise
+        project = _project_simplex if homogeneous else (lambda v: np.clip(v, 0.0, 4.0))
+        return _projected_descent(phi, phi_grad, project, x0, 0.1, 200)[0]
 
     for x0 in worst:
         x = polish(x0)
-        v = float(phi_batch(x[None, :])[0])
+        v = phi(x)
         if v < best_val:
             best_val, best_x = v, x
     evidence = {
@@ -426,22 +423,19 @@ def is_strong_M(A, restarts: int = 50, seed: int = 0) -> ClassVerdict:
     n = T.dim
     rng = np.random.default_rng(seed)
     starts = [np.ones(n) / n] + list(rng.dirichlet(np.ones(n), size=restarts - 1))
+
+    def neg_min(d):
+        return -float(F.eval(d).min())
+
+    def neg_min_grad(d):
+        return -F.jacobian(d)[int(np.argmin(F.eval(d)))]
+
     best_d, best_min = None, -np.inf
     for d0 in starts:
-        d = np.asarray(d0, dtype=np.float64)
-        step = 0.25
-        val = float(F.eval(d).min())
-        for _ in range(150):
-            i = int(np.argmin(F.eval(d)))
-            g = F.jacobian(d)[i]
-            dn = _project_simplex(d + step * g / max(1.0, float(np.abs(g).max())))
-            vn = float(F.eval(dn).min())
-            if vn > val + 1e-16:
-                d, val = dn, vn
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
+        # ascent of min_i F(d)_i as descent of its negation, which is exact
+        d0 = np.asarray(d0, dtype=np.float64)
+        d, val = _projected_descent(neg_min, neg_min_grad, _project_simplex, d0, 0.25, 150)
+        val = -val
         if val > best_min:
             best_min, best_d = val, d
         if best_min > 1e-9:
@@ -683,7 +677,7 @@ def p_property_check(
         v = psi(x, y)
         if best is None or v < best[0]:
             best = (v, x, y)
-        if v <= 1e-12:
+        if v <= 0.0:
             return ClassVerdict(
                 property="p",
                 verdict="fails",
@@ -698,6 +692,8 @@ def p_property_check(
         penalty = 1e3 * max(0.0, sep - gap) ** 2
         return psi(x, y) + penalty
 
+    from scipy.optimize import minimize
+
     v0, x0, y0 = best
     res = minimize(
         objective,
@@ -708,7 +704,7 @@ def p_property_check(
     xw = np.maximum(res.x[:n], 0.0)
     yw = np.maximum(res.x[n:], 0.0)
     vw = psi(xw, yw)
-    if vw <= 1e-12 and np.abs(xw - yw).max() >= sep:
+    if vw <= 0.0 and np.abs(xw - yw).max() >= sep:
         return ClassVerdict(
             property="p",
             verdict="fails",
@@ -733,37 +729,14 @@ def sol_cone_sample(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig())
     """Unit generators of S = SOL(f_inf, 0), collected by sampling the
     nonnegative sphere and polishing with semismooth Newton. The zero
     solution is implicit; S is invariant under positive scaling."""
-    Fm = leading_term(as_map(F))
-    n = Fm.dim
-    tols = cfg.tolerances
-    rng = np.random.default_rng(seed)
-    if n == 2:
-        ang = np.linspace(0.0, np.pi / 2.0, 181)
-        U0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        levels = np.arange(7.0)
-        grid = np.array(list(itertools.product(levels, repeat=n)))
-        grid = grid[np.abs(grid).sum(axis=1) > 0]
-        U0 = grid / np.linalg.norm(grid, axis=1, keepdims=True)
-    extra = np.abs(rng.normal(size=(128, n)))
-    U0 = np.vstack([U0, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
-    ev, jc = _minmap_fns(Fm, np.zeros(n))
-    X, converged, _, _ = _newton_batch(
-        ev, jc, U0, tol=1e-13, max_iters=40,
-        armijo_factor=0.5, max_halvings=30, box_cap=100.0,
+    _, roots = _orthant_sphere_roots(
+        leading_term(as_map(F)), np.random.default_rng(seed), arc=181, levels=7,
+        extra=128, tol=1e-13, cfg=cfg,
     )
     gens: list[np.ndarray] = []
     residuals: list[float] = []
-    for b in np.nonzero(converged)[0]:
-        x = X[b]
-        nrm = float(np.linalg.norm(x))
-        if nrm <= 1e-6:
-            continue
-        u = np.maximum(x / nrm, 0.0)
-        r = float(np.abs(np.minimum(u, Fm.eval(u))).max())
-        if r > tols.feasibility:
-            continue
-        if any(np.abs(u - g).max() <= tols.dedupe for g in gens):
+    for _, u, r in roots:
+        if any(np.abs(u - g).max() <= cfg.tolerances.dedupe for g in gens):
             continue
         gens.append(u)
         residuals.append(r)

@@ -4,11 +4,13 @@ For a homogeneous map F with SOL(F, 0) = {0}, the natural map
 g(x) = min{x, F(x)} has an isolated zero at the origin and its local degree
 there is computed two independent ways:
 
-* regular-value counting: pick a small random p; on each branch pattern
-  solve the piecewise-smooth system {x_i = p_i (x side), F_i(x) = p_i
+* regular-value counting: pick a small random p; on each of the 2^n pieces
+  of min{x, F(x)+q} = p (solver._pattern_fns, the pieces enumeration solves
+  with p = 0, here with q = 0) solve {x_i = p_i (x side), F_i(x) + q_i = p_i
   (F side)}, keep roots whose inactive branch clears the tie margin, and sum
   the signs of the piece Jacobian determinants. The preimage search radius
-  doubles until the preimage set stops changing.
+  doubles until the preimage set stops changing. The homotopy check counts
+  min{x, f_t(x) + q_t} the same way, with its shift q_t.
 * winding number (dim 2 only): the angle swept by g around a circle, with
   adaptive bisection until every step turns less than pi/2.
 
@@ -25,7 +27,13 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, InvalidInputError, PcpKitError
-from .solver import SolveConfig, _newton_batch, check_sol_infty_zero, enumerate_solutions
+from .solver import (
+    SolveConfig,
+    _newton_batch,
+    _pattern_fns,
+    check_sol_infty_zero,
+    enumerate_solutions,
+)
 from .tensor_core import MapLike, PcpInstance, PolynomialMap, Tensor, as_map, leading_term
 
 __all__ = [
@@ -73,33 +81,21 @@ class _Retry(Exception):
     """Current regular-value draw hit a tie or singular piece; redraw p."""
 
 
-def _pattern_root_candidates(F, p: np.ndarray, alpha: tuple, radius: float,
+def _pattern_root_candidates(F, q: np.ndarray, p: np.ndarray, alpha: tuple, radius: float,
                              tols: Tolerances, per_axis: int) -> list[np.ndarray]:
-    """Newton roots of one pattern system inside the sup-norm ball.
+    """Newton roots of one piece of min{x, F(x)+q} = p inside the sup-norm
+    ball.
 
     alpha = indices pinned to the x branch (x_i = p_i); the complement
-    solves F_i(x) = p_i. No branch filtering here; candidates from all
+    solves F_i(x) + q_i = p_i. No branch filtering here; candidates from all
     patterns are classified together afterwards.
     """
-    n = F.dim
-    beta = np.array([i for i in range(n) if i not in alpha], dtype=int)
-    if beta.size == 0:
+    beta = tuple(i for i in range(F.dim) if i not in alpha)
+    if not beta:
         return [p.copy()] if float(np.abs(p).max()) <= radius else []
-
-    def embed(U):
-        X = np.repeat(p[None, :], U.shape[0], axis=0)
-        X[:, beta] = U
-        return X
-
-    def ev(U):
-        return F.eval_batch(embed(U))[:, beta] - p[beta]
-
-    def jc(U):
-        J = F.jacobian_batch(embed(U))
-        return J[:, beta[:, None], beta[None, :]]
-
+    embed, ev, jc = _pattern_fns(F, q, beta, p)
     nodes = np.linspace(-radius / 8.0, radius, per_axis)
-    starts = np.array(list(itertools.product(nodes, repeat=beta.size)))
+    starts = np.array(list(itertools.product(nodes, repeat=len(beta))))
     U, converged, rn, _ = _newton_batch(
         ev, jc, starts, tol=1e-13, max_iters=80,
         armijo_factor=0.5, max_halvings=30, box_cap=max(64.0, 4 * radius),
@@ -115,9 +111,9 @@ def _pattern_root_candidates(F, p: np.ndarray, alpha: tuple, radius: float,
     return out
 
 
-def _classify_preimage(F, p: np.ndarray, x: np.ndarray, tols: Tolerances):
+def _classify_preimage(F, q: np.ndarray, p: np.ndarray, x: np.ndarray, tols: Tolerances):
     """(sign, min_inactive_slack) of a candidate, or None if x is not a
-    preimage of p.
+    preimage of p under min{x, F(x)+q}.
 
     Per index the active branch is the one at the minimum; an index where
     both branches sit within the tie margin is resolved by checking that
@@ -129,7 +125,7 @@ def _classify_preimage(F, p: np.ndarray, x: np.ndarray, tols: Tolerances):
     margin = tols.tie_margin
     active_tol = 1e-8
     a = x - p
-    b = F.eval(x) - p
+    b = F.eval(x) + (q - p)
     rows = []  # per index: list of allowed branches, 'x' and/or 'F'
     slacks = []
     for i in range(n):
@@ -172,14 +168,14 @@ def _classify_preimage(F, p: np.ndarray, x: np.ndarray, tols: Tolerances):
     return sign, (min(slacks) if slacks else float("inf"))
 
 
-def _preimage_set(F, p: np.ndarray, radius: float, tols: Tolerances,
+def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, tols: Tolerances,
                   per_axis: int = 7):
     n = F.dim
     candidates: list[np.ndarray] = []
     for size in range(n + 1):
         for alpha in itertools.combinations(range(n), size):
             candidates.extend(
-                _pattern_root_candidates(F, p, alpha, radius, tols, per_axis)
+                _pattern_root_candidates(F, q, p, alpha, radius, tols, per_axis)
             )
     found = []
     for x in sorted(candidates, key=lambda v: tuple(v)):
@@ -188,7 +184,7 @@ def _preimage_set(F, p: np.ndarray, radius: float, tols: Tolerances,
             for y, _, _ in found
         ):
             continue
-        hit = _classify_preimage(F, p, x, tols)
+        hit = _classify_preimage(F, q, p, x, tols)
         if hit is not None:
             found.append((x, hit[0], hit[1]))
     return found
@@ -211,14 +207,16 @@ def _draw_p(rng, n: int) -> np.ndarray:
 
 def _regular_value_degree(
     F: PolynomialMap,
+    q: np.ndarray,
     rng,
     tols: Tolerances,
     fixed_radius: float | None = None,
     boundary_samples: np.ndarray | None = None,
 ) -> tuple:
-    """(degree, p, preimages, diagnostics). Retries the draw of p up to
-    _P_RETRIES times on ties/singularities; with fixed_radius set, computes
-    over that ball only and insists preimages stay off the boundary."""
+    """(degree, p, preimages, diagnostics) of min{x, F(x)+q}. Retries the
+    draw of p up to _P_RETRIES times on ties/singularities; with
+    fixed_radius set, computes over that ball only and insists preimages
+    stay off the boundary."""
     n = F.dim
     last = "no attempts"
     for _ in range(_P_RETRIES):
@@ -227,20 +225,20 @@ def _regular_value_degree(
             if fixed_radius is not None:
                 if boundary_samples is not None:
                     gb = np.abs(
-                        np.minimum(boundary_samples, F.eval_batch(boundary_samples))
+                        np.minimum(boundary_samples, F.eval_batch(boundary_samples) + q)
                     ).max(axis=1)
                     if float(gb.min()) < 10.0 * float(np.abs(p).max()):
                         raise _Retry("map too small on the region boundary")
-                pre = _preimage_set(F, p, fixed_radius, tols)
+                pre = _preimage_set(F, q, p, fixed_radius, tols)
                 if any(np.abs(x).max() > 0.9 * fixed_radius for x, _, _ in pre):
                     raise _Retry("preimage near the region boundary")
                 diag = {"radius": fixed_radius, "stabilized": True}
             else:
                 radius = 1.0
-                pre = _preimage_set(F, p, radius, tols)
+                pre = _preimage_set(F, q, p, radius, tols)
                 stabilized = False
                 while radius < _BALL_CAP:
-                    bigger = _preimage_set(F, p, 2 * radius, tols)
+                    bigger = _preimage_set(F, q, p, 2 * radius, tols)
                     if _sets_match(pre, bigger):
                         stabilized = True
                         break
@@ -331,7 +329,7 @@ def local_degree_min_map(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConf
             f"found nonzero solution {zero.witness}"
         )
     rng = np.random.default_rng(seed)
-    deg, p, pre, diag = _regular_value_degree(F, rng, tols)
+    deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, tols)
     diag["assumptions"] = {"zero_only_samples": zero.samples, "one_sided": True}
     margins = [m for _, _, m in pre if np.isfinite(m)]
     return DegreeEstimate(
@@ -350,8 +348,8 @@ def tensor_degree(A: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -
     Regular-value counting; in dim 2 the winding number is computed as well
     and the two must agree.
     """
-    est = local_degree_min_map(leading_term(as_map(A)), seed=seed, cfg=cfg)
     F = leading_term(as_map(A))
+    est = local_degree_min_map(F, seed=seed, cfg=cfg)
     if F.dim == 2:
         w = winding_degree_2d(F, radius=1.0, tols=cfg.tolerances)
         est.diagnostics["winding"] = w
@@ -523,24 +521,8 @@ def homotopy_invariance_check(
     end_map, end_q = stage(1.0)
 
     def region_degree(fmap_t, q_t):
-        # absorb the constant shift: the tracked map is min{x, f_t(x) + q_t}
-        class _Shifted:
-            dim = n
-
-            @staticmethod
-            def eval_batch(X):
-                return fmap_t.eval_batch(X) + q_t
-
-            @staticmethod
-            def eval(x):
-                return fmap_t.eval(x) + q_t
-
-            @staticmethod
-            def jacobian_batch(X):
-                return fmap_t.jacobian_batch(X)
-
         deg, _, _, _ = _regular_value_degree(
-            _Shifted, rng, tols, fixed_radius=omega, boundary_samples=bsamp
+            fmap_t, q_t, rng, tols, fixed_radius=omega, boundary_samples=bsamp
         )
         return deg
 

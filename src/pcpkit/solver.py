@@ -6,10 +6,15 @@ Newton method run from many starts at once (batched): the generalized
 Jacobian takes row e_i where x_i < (f(x)+q)_i and the f-row otherwise, ties
 going to the f-row.
 
+The 2^n smooth pieces of min{x, f(x)+q} = p are built by _pattern_fns: on
+the piece of an index set beta, x_beta is unknown, x_i = p_i elsewhere, and
+the equations are f_beta(x) + (q-p)_beta = 0. Solutions are the pieces
+with p = 0; the degree module counts preimages of a small p with q = 0 on
+the same pieces.
+
 enumerate_solutions is the exhaustive desk-scale oracle: for each of the 2^n
-complementary patterns alpha it solves the square polynomial system
-{x_i = 0 (i not in alpha), (f(x)+q)_i = 0 (i in alpha)} by multistart Newton
-on a deterministic grid, filters by the sign conditions, and deduplicates.
+pieces it solves the square polynomial system by multistart Newton on a
+deterministic grid, filters by the sign conditions, and deduplicates.
 
 certify_unsolvable gives a grid + Lipschitz-margin certificate of
 non-existence on a compact box; it reports "inconclusive" rather than guess.
@@ -214,22 +219,25 @@ def _minmap_fns(f, q):
     return ev, jc
 
 
-def _pattern_fns(f, q, alpha: tuple, n: int):
-    """Reduced system for pattern alpha: unknowns x_alpha, x elsewhere 0,
-    equations (f(x)+q)_alpha = 0."""
-    a = np.array(alpha, dtype=int)
+def _pattern_fns(f, q, beta: tuple, p: np.ndarray):
+    """Piece of min{x, f(x)+q} = p on which the indices in beta take the
+    f-branch: unknowns x_beta, x_i = p_i elsewhere, equations
+    f_beta(x) + (q-p)_beta = 0."""
+    b = np.array(beta, dtype=int)
+    shift = (q - p)[b]
 
     def embed(U):
-        X = np.zeros((U.shape[0], n))
-        X[:, a] = U
+        X = np.empty((U.shape[0], p.size))
+        X[:] = p
+        X[:, b] = U
         return X
 
     def ev(U):
-        return f.eval_batch(embed(U))[:, a] + q[a]
+        return f.eval_batch(embed(U))[:, b] + shift
 
     def jc(U):
         J = f.jacobian_batch(embed(U))
-        return J[:, a[:, None], a[None, :]]
+        return J[:, b[:, None], b[None, :]]
 
     return embed, ev, jc
 
@@ -386,9 +394,12 @@ def _float_noise_floor(f, q, X) -> np.ndarray:
 
 
 def _dedupe(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
+    """Points in sorted order, each merged into an earlier kept point y
+    when |x - y|_inf <= tol * (1 + |x|_inf)."""
     kept: list[np.ndarray] = []
-    for x in sorted(points, key=lambda v: tuple(v)):
-        if all(np.abs(x - y).max() > tol for y in kept):
+    for x in sorted(points, key=tuple):
+        gap = tol * (1.0 + float(np.abs(x).max()))
+        if not kept or np.abs(np.asarray(kept) - x).max(axis=1).min() > gap:
             kept.append(x)
     return kept
 
@@ -401,15 +412,16 @@ def _clean(x: np.ndarray) -> np.ndarray:
 # --- public operations ------------------------------------------------------
 
 
-def verify_solution(inst: PcpInstance, x, tol: float | None = None) -> VerifyReport:
+def verify_solution(
+    inst: PcpInstance, x, tol: float | None = None, tols: Tolerances = DEFAULT_TOLERANCES
+) -> VerifyReport:
     """Max violation of x >= 0, f(x)+q >= 0, <x, f(x)+q> = 0.
 
-    With the default tolerances, the y and complementarity thresholds are
-    floored by the float noise of evaluating f at x (x itself is data and
-    is held to the exact feasibility tolerance). An explicit tol is applied
+    Without tol, the y and complementarity thresholds of tols are floored
+    by the float noise of evaluating f at x (x itself is data and is held
+    to the exact feasibility tolerance). An explicit tol is applied
     absolutely to all three violations.
     """
-    tols = DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=np.float64)
     y = inst.y(x)
     neg_x = max(0.0, float(-x.min()))
@@ -433,11 +445,11 @@ def verify_solution(inst: PcpInstance, x, tol: float | None = None) -> VerifyRep
     )
 
 
-def _collect_verified(inst, X, converged, cfg):
+def _collect_verified(inst, X, converged, tols: Tolerances):
     """Converged rows in start order, verified and cleaned; first hit wins."""
     for b in np.nonzero(converged)[0]:
         x = _clean(np.maximum(X[b], 0.0))
-        rep = verify_solution(inst, x)
+        rep = verify_solution(inst, x, tols=tols)
         if rep.ok:
             res = float(np.abs(inst.residual(x)).max())
             return x, res, rep
@@ -450,7 +462,8 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     Starts: the origin, the heuristic seed max(0,-q)^{[1/(m-1)]} (signed real
     root for even m-1), and cfg.multistart seeded uniform points in
     [0, search_radius]^n. Falls back to pattern-system seeding before giving
-    up; returns budget-exhausted when nothing verifies.
+    up, when the dimension is within cfg.pattern_dim_cap; returns
+    budget-exhausted when nothing verifies.
     """
     t0 = time.perf_counter()
     f, q, n = inst.map, inst.q, inst.dim
@@ -485,8 +498,8 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
         "pattern_fallback": False,
     }
     near = rn <= np.maximum(tols.root, _float_noise_floor(f, q, X))
-    hit = _collect_verified(inst, X, converged | near, cfg)
-    if hit is None:
+    hit = _collect_verified(inst, X, converged | near, tols)
+    if hit is None and n <= cfg.pattern_dim_cap:
         # pattern-seeded fallback: the enumeration grid often reaches roots
         # the multistart cloud misses
         diagnostics["pattern_fallback"] = True
@@ -536,7 +549,7 @@ def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
                 else:
                     diag[key] = {"status": "inconsistent", "best_residual": float(max(0.0, -q.min()))}
                 continue
-            embed, ev, jc = _pattern_fns(f, q, alpha, n)
+            embed, ev, jc = _pattern_fns(f, q, alpha, np.zeros(n))
             starts = _grid_starts(len(alpha), R, per_axis)
             n_algebraic = 0
             if len(alpha) <= 2:
@@ -617,7 +630,7 @@ def enumerate_solutions(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> 
             completeness = "certified-complete"
         else:
             sols = merged
-    verifications = [verify_solution(inst, x) for x in sols]
+    verifications = [verify_solution(inst, x, tols=cfg.tolerances) for x in sols]
     keep = [i for i, v in enumerate(verifications) if v.ok]
     sols = [sols[i] for i in keep]
     verifications = [verifications[i] for i in keep]
@@ -658,23 +671,44 @@ class ZeroConeReport:
         }
 
 
-def _orthant_sphere_samples(n: int, rng, extra: int = 64) -> np.ndarray:
-    """Deterministic nonnegative unit directions (axes included) plus seeded
-    random ones."""
+def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
+                          cfg: SolveConfig, unique_starts: bool = False):
+    """Nonzero roots of min{u, F(u)} = 0 from nonnegative unit starts.
+
+    Starts: arc angles on the quarter circle (dim 2) or the normalized points
+    of {0..levels-1}^n minus the origin, then extra seeded random directions;
+    unique_starts merges starts within 1e-9. Semismooth Newton polishes every
+    start to tol; each converged root of norm above 1e-6 is normalized back
+    onto the sphere and kept, in start order, as (start, u, residual) when
+    its residual is within the feasibility tolerance. Returns (starts, roots).
+    """
+    n = F.dim
     if n == 2:
-        ang = np.linspace(0.0, np.pi / 2.0, 41)
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        ang = np.linspace(0.0, np.pi / 2.0, arc)
+        U0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
-        levels = np.arange(5.0)
-        grid = np.array(list(itertools.product(levels, repeat=n)))
+        grid = np.array(list(itertools.product(np.arange(float(levels)), repeat=n)))
         grid = grid[np.abs(grid).sum(axis=1) > 0]
-        pts = grid / np.linalg.norm(grid, axis=1, keepdims=True)
-    if extra:
-        r = np.abs(rng.normal(size=(extra, n)))
-        norms = np.linalg.norm(r, axis=1, keepdims=True)
-        pts = np.vstack([pts, r / np.maximum(norms, 1e-12)])
-    # unique within 1e-9 to keep the batch small
-    return np.array(_dedupe(list(pts), 1e-9))
+        U0 = grid / np.linalg.norm(grid, axis=1, keepdims=True)
+    r = np.abs(rng.normal(size=(extra, n)))
+    U0 = np.vstack([U0, r / np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1e-12)])
+    if unique_starts:
+        U0 = np.array(_dedupe(list(U0), 1e-9))
+    ev, jc = _minmap_fns(F, np.zeros(n))
+    X, converged, _, _ = _newton_batch(
+        ev, jc, U0, tol=tol, max_iters=40, armijo_factor=cfg.armijo_factor,
+        max_halvings=cfg.max_halvings, box_cap=100.0,
+    )
+    roots = []
+    for b in np.nonzero(converged)[0]:
+        nrm = float(np.linalg.norm(X[b]))
+        if nrm <= 1e-6:
+            continue
+        u = np.maximum(X[b] / nrm, 0.0)
+        res = float(np.abs(np.minimum(u, F.eval(u))).max())
+        if res <= cfg.tolerances.feasibility:
+            roots.append((U0[b], u, res))
+    return U0, roots
 
 
 def check_sol_infty_zero(f: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -> ZeroConeReport:
@@ -684,30 +718,19 @@ def check_sol_infty_zero(f: MapLike, seed: int = 0, cfg: SolveConfig = SolveConf
     the homogeneous min map, normalizes any nonzero root back to the sphere
     and re-verifies. The zero-only verdict is a one-sided certificate.
     """
-    F = leading_term(as_map(f))
-    n = F.dim
-    tols = cfg.tolerances
-    rng = np.random.default_rng(seed)
-    U0 = _orthant_sphere_samples(n, rng)
-    ev, jc = _minmap_fns(F, np.zeros(n))
-    X, converged, _rn, _ = _newton_batch(
-        ev, jc, U0, tol=max(1e-13, tols.root / 100.0),
-        max_iters=40, armijo_factor=cfg.armijo_factor,
-        max_halvings=cfg.max_halvings, box_cap=100.0,
+    U0, roots = _orthant_sphere_roots(
+        leading_term(as_map(f)), np.random.default_rng(seed), arc=41, levels=5,
+        extra=64, tol=max(1e-13, cfg.tolerances.root / 100.0), cfg=cfg,
+        unique_starts=True,
     )
-    for b in np.nonzero(converged)[0]:
-        x = X[b]
-        nrm = float(np.linalg.norm(x))
-        if nrm <= 1e-6:
-            continue
-        u = np.maximum(x / nrm, 0.0)
-        if np.abs(np.minimum(u, F.eval(u))).max() <= tols.feasibility:
-            return ZeroConeReport(
-                verdict="nonzero-solution-found",
-                witness=u,
-                samples=int(U0.shape[0]),
-                diagnostics={"polished_from": [float(v) for v in U0[b]]},
-            )
+    if roots:
+        start, u, _ = roots[0]
+        return ZeroConeReport(
+            verdict="nonzero-solution-found",
+            witness=u,
+            samples=int(U0.shape[0]),
+            diagnostics={"polished_from": [float(v) for v in start]},
+        )
     return ZeroConeReport(
         verdict="zero-only",
         witness=None,

@@ -13,6 +13,7 @@ from pcpkit.classify import (
     sol_cone_sample,
     strong_q_probe,
 )
+from pcpkit.constructions import example_catalog
 from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
 
 A1 = np.array([[-1.0, 1.0], [3.0, -2.0]])
@@ -106,6 +107,17 @@ def test_p_property():
     v = p_property_check(F2)
     assert v.verdict == "fails"
     assert v.witness["value"] <= 1e-12
+
+
+def test_p_property_fails_only_on_a_violation():
+    # (Ax)^[3] with A a P-matrix is a P-function: psi is positive on every
+    # pair, however close to zero a polished pair gets
+    T = {e.name: e for e in example_catalog()}["r-matrix-power-01"].tensor
+    assert p_property_check(T).verdict == "holds-up-to-sampling"
+    v = p_property_check(F2)
+    assert v.verdict == "fails"
+    x, y = np.array(v.witness["x"]), np.array(v.witness["y"])
+    assert np.max((x - y) * (F2.eval(x) - F2.eval(y))) <= 0.0
 
 
 def test_sol_cone_sample_single_generator():

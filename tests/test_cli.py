@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,3 +249,13 @@ def test_config_file_overrides(tmp_path, capsys):
     assert rc == 0
     assert out["result"]["config"]["search_radius"] == 15.0
     assert out["result"]["seed"] == 3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves two classify checks only and is imported there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pcpkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

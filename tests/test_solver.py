@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from pcpkit.config import Tolerances
+from pcpkit.constructions import matrix_power_tensor
 from pcpkit.errors import InvalidInputError
+from pcpkit.lcp import lcp_enumerate
 from pcpkit.solver import (
     SolveConfig,
     boundedness_probe,
@@ -13,7 +16,7 @@ from pcpkit.solver import (
     solve,
     verify_solution,
 )
-from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
+from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor, componentwise_root
 
 
 def diag_cube() -> Tensor:
@@ -185,3 +188,37 @@ def test_wall_time_stays_out_of_canonical_json():
     rep = solve(inst)
     assert "wall_time_s" not in rep.to_json()
     assert "wall_time_s" in rep.to_json(include_timing=True)
+
+
+def test_configured_tolerances_reach_verification():
+    inst = PcpInstance(Tensor(np.eye(2)), -np.ones(2))
+    reported = []
+    for feas in (1e-30, 1e-2):
+        cfg = SolveConfig(tolerances=Tolerances().override(feasibility=feas))
+        rep = solve(inst, cfg)
+        enum = enumerate_solutions(inst, cfg)
+        assert rep.status == "solved" and len(enum.solutions) == 1
+        assert rep.verifications[0].tol == enum.verifications[0].tol
+        reported.append(rep.verifications[0].tol)
+    assert reported[0] != reported[1]
+    assert reported[1] == 1e-2
+
+
+def test_solve_above_pattern_cap_skips_fallback():
+    # no solution: -x - e < 0 on the orthant; n = 5 exceeds pattern_dim_cap
+    rep = solve(PcpInstance(Tensor(-np.eye(5)), -np.ones(5)))
+    assert rep.status == "budget-exhausted"
+    assert rep.diagnostics["pattern_fallback"] is False
+
+
+def test_far_root_is_reported_once():
+    # Eq. 4: PCP((Ax)^[3], q) has the solutions of LCP(A, q^[1/3]); the one
+    # solution here sits at norm ~166, where absolute 1e-6 merging fails
+    A = np.array([[0.38101307, -0.37517432], [-1.39389464, 1.37664789]])
+    q = np.array([-0.04601336, 0.24582445])
+    (x_star,) = lcp_enumerate(A, componentwise_root(q, 3)).solutions
+    radius = max(5.0, 2.0 * float(np.abs(x_star).max()))
+    inst = PcpInstance(PolynomialMap([matrix_power_tensor(A, 3)]), q)
+    rep = enumerate_solutions(inst, SolveConfig().with_radius(radius))
+    assert len(rep.solutions) == 1
+    assert np.abs(rep.solutions[0] - x_star).max() <= 1e-4 * np.abs(x_star).max()
