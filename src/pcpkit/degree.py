@@ -4,12 +4,13 @@ For a homogeneous map F with SOL(F, 0) = {0}, the natural map
 g(x) = min{x, F(x)} has an isolated zero at the origin and its local degree
 there is computed two independent ways:
 
-* regular-value counting: pick a small random p; on each of the 2^n pieces
-  of min{x, F(x)+q} = p (solver._pattern_fns, the pieces enumeration solves
-  with p = 0, here with q = 0) solve {x_i = p_i (x side), F_i(x) + q_i = p_i
-  (F side)}, keep roots whose inactive branch clears the tie margin, and sum
-  the signs of the piece Jacobian determinants. The preimage search radius
-  doubles until the preimage set stops changing. The homotopy check counts
+* regular-value counting: pick a small random p; solve all 2^n pieces of
+  min{x, F(x)+q} = p, {x_i = p_i (x side), F_i(x) + q_i = p_i (F side)},
+  in one call of the solver's masked-piece Newton engine (the pieces
+  enumeration solves with p = 0, here with q = 0), keep roots whose
+  inactive branch clears the tie margin, and sum the signs of the piece
+  Jacobian determinants. The preimage search radius doubles until the
+  preimage set stops changing. The homotopy check counts
   min{x, f_t(x) + q_t} the same way, with its shift q_t.
 * winding number (dim 2 only): the angle swept by g around a circle, with
   adaptive bisection until every step turns less than pi/2.
@@ -30,7 +31,7 @@ from .errors import DegenerateInputError, InvalidInputError, PcpKitError
 from .solver import (
     SolveConfig,
     _newton_batch,
-    _pattern_fns,
+    _stack_pieces,
     check_sol_infty_zero,
     enumerate_solutions,
 )
@@ -79,36 +80,6 @@ class DegreeEstimate:
 
 class _Retry(Exception):
     """Current regular-value draw hit a tie or singular piece; redraw p."""
-
-
-def _pattern_root_candidates(F, q: np.ndarray, p: np.ndarray, alpha: tuple, radius: float,
-                             tols: Tolerances, per_axis: int) -> list[np.ndarray]:
-    """Newton roots of one piece of min{x, F(x)+q} = p inside the sup-norm
-    ball.
-
-    alpha = indices pinned to the x branch (x_i = p_i); the complement
-    solves F_i(x) + q_i = p_i. No branch filtering here; candidates from all
-    patterns are classified together afterwards.
-    """
-    beta = tuple(i for i in range(F.dim) if i not in alpha)
-    if not beta:
-        return [p.copy()] if float(np.abs(p).max()) <= radius else []
-    embed, ev, jc = _pattern_fns(F, q, beta, p)
-    nodes = np.linspace(-radius / 8.0, radius, per_axis)
-    starts = np.array(list(itertools.product(nodes, repeat=len(beta))))
-    U, converged, rn, _ = _newton_batch(
-        ev, jc, starts, tol=1e-13, max_iters=80,
-        armijo_factor=0.5, max_halvings=30, box_cap=max(64.0, 4 * radius),
-    )
-    out: list[np.ndarray] = []
-    for b in np.nonzero(converged & (rn <= tols.root))[0]:
-        x = embed(U[b][None, :])[0]
-        if float(np.abs(x).max()) > radius * (1 + 1e-9):
-            continue
-        if any(np.abs(x - prev).max() <= 1e-8 * (1 + radius) for prev in out):
-            continue
-        out.append(x)
-    return out
 
 
 def _classify_preimage(F, q: np.ndarray, p: np.ndarray, x: np.ndarray, tols: Tolerances):
@@ -168,21 +139,40 @@ def _classify_preimage(F, q: np.ndarray, p: np.ndarray, x: np.ndarray, tols: Tol
     return sign, (min(slacks) if slacks else float("inf"))
 
 
-def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, tols: Tolerances,
+def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, cfg: SolveConfig,
                   per_axis: int = 7):
+    """Preimages of p under min{x, F(x)+q} in the sup-norm ball of the given
+    radius, as sorted (x, sign, slack).
+
+    Every piece (F branch on beta, x_i = p_i off it) runs in one engine
+    call from a per_axis grid on [-radius/8, radius]^|beta|; the piece with
+    beta empty contributes p itself. Each piece's converged roots in the
+    ball are deduplicated at 1e-8 (1 + radius), and the candidates of all
+    pieces are classified together.
+    """
     n = F.dim
+    tols = cfg.tolerances
+    pieces = [tuple(i for i in range(n) if i not in alpha)
+              for size in range(n) for alpha in itertools.combinations(range(n), size)]
+    X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-radius / 8.0, radius, per_axis))
+    X, converged, rn, _ = _newton_batch(
+        F, q, X0, tol=1e-13, max_iters=80, armijo_factor=cfg.armijo_factor,
+        max_halvings=cfg.max_halvings, box_cap=max(64.0, 4 * radius), beta=beta, p=p,
+    )
+    inside = converged & (rn <= tols.root) & (np.abs(X).max(axis=1) <= radius * (1 + 1e-9))
     candidates: list[np.ndarray] = []
-    for size in range(n + 1):
-        for alpha in itertools.combinations(range(n), size):
-            candidates.extend(
-                _pattern_root_candidates(F, q, p, alpha, radius, tols, per_axis)
-            )
+    for j in range(len(pieces)):
+        out: list[np.ndarray] = []
+        for x in X[offsets[j] + np.nonzero(inside[offsets[j] : offsets[j + 1]])[0]]:
+            if not out or np.abs(np.asarray(out) - x).max(axis=1).min() > 1e-8 * (1 + radius):
+                out.append(x)
+        candidates.extend(out)
+    if float(np.abs(p).max()) <= radius:
+        candidates.append(p.copy())
     found = []
     for x in sorted(candidates, key=lambda v: tuple(v)):
-        if any(
-            np.abs(x - y).max() <= 1e-7 * (1 + float(np.abs(x).max()))
-            for y, _, _ in found
-        ):
+        gap = 1e-7 * (1 + float(np.abs(x).max()))
+        if found and np.abs(np.asarray([y for y, _, _ in found]) - x).max(axis=1).min() <= gap:
             continue
         hit = _classify_preimage(F, q, p, x, tols)
         if hit is not None:
@@ -209,7 +199,7 @@ def _regular_value_degree(
     F: PolynomialMap,
     q: np.ndarray,
     rng,
-    tols: Tolerances,
+    cfg: SolveConfig,
     fixed_radius: float | None = None,
     boundary_samples: np.ndarray | None = None,
 ) -> tuple:
@@ -229,16 +219,16 @@ def _regular_value_degree(
                     ).max(axis=1)
                     if float(gb.min()) < 10.0 * float(np.abs(p).max()):
                         raise _Retry("map too small on the region boundary")
-                pre = _preimage_set(F, q, p, fixed_radius, tols)
+                pre = _preimage_set(F, q, p, fixed_radius, cfg)
                 if any(np.abs(x).max() > 0.9 * fixed_radius for x, _, _ in pre):
                     raise _Retry("preimage near the region boundary")
                 diag = {"radius": fixed_radius, "stabilized": True}
             else:
                 radius = 1.0
-                pre = _preimage_set(F, q, p, radius, tols)
+                pre = _preimage_set(F, q, p, radius, cfg)
                 stabilized = False
                 while radius < _BALL_CAP:
-                    bigger = _preimage_set(F, q, p, 2 * radius, tols)
+                    bigger = _preimage_set(F, q, p, 2 * radius, cfg)
                     if _sets_match(pre, bigger):
                         stabilized = True
                         break
@@ -321,7 +311,6 @@ def local_degree_min_map(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConf
         raise InvalidInputError("local degree at the origin needs a homogeneous map")
     if F.dim > _MAX_DEGREE_DIM:
         raise InvalidInputError(f"degree computation capped at dim {_MAX_DEGREE_DIM}")
-    tols = cfg.tolerances
     zero = check_sol_infty_zero(F, seed=seed, cfg=cfg)
     if not zero.zero_only:
         raise InvalidInputError(
@@ -329,7 +318,7 @@ def local_degree_min_map(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConf
             f"found nonzero solution {zero.witness}"
         )
     rng = np.random.default_rng(seed)
-    deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, tols)
+    deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, cfg)
     diag["assumptions"] = {"zero_only_samples": zero.samples, "one_sided": True}
     margins = [m for _, _, m in pre if np.isfinite(m)]
     return DegreeEstimate(
@@ -522,7 +511,7 @@ def homotopy_invariance_check(
 
     def region_degree(fmap_t, q_t):
         deg, _, _, _ = _regular_value_degree(
-            fmap_t, q_t, rng, tols, fixed_radius=omega, boundary_samples=bsamp
+            fmap_t, q_t, rng, cfg, fixed_radius=omega, boundary_samples=bsamp
         )
         return deg
 

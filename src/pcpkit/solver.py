@@ -1,20 +1,18 @@
 """Solvers for PCP(f, q).
 
 The natural residual Phi(x) = min{x, f(x)+q} vanishes exactly at solutions,
-so solving is root finding on Phi. The main engine is a damped semismooth
-Newton method run from many starts at once (batched): the generalized
+so solving is root finding on Phi. One engine, _newton_batch, runs damped
+semismooth Newton from many starts at once: on the min map its generalized
 Jacobian takes row e_i where x_i < (f(x)+q)_i and the f-row otherwise, ties
-going to the f-row.
+going to the f-row. The 2^n smooth pieces of min{x, f(x)+q} = p run on it
+as masked rows: on the piece of an index set beta, x_i = p_i off beta and
+f_beta(x) + (q-p)_beta = 0, and the rows of every piece and start share
+one call. Solutions are the pieces with p = 0; the degree module counts
+preimages of a small p with q = 0 on the same pieces.
 
-The 2^n smooth pieces of min{x, f(x)+q} = p are built by _pattern_fns: on
-the piece of an index set beta, x_beta is unknown, x_i = p_i elsewhere, and
-the equations are f_beta(x) + (q-p)_beta = 0. Solutions are the pieces
-with p = 0; the degree module counts preimages of a small p with q = 0 on
-the same pieces.
-
-enumerate_solutions is the exhaustive desk-scale oracle: for each of the 2^n
-pieces it solves the square polynomial system by multistart Newton on a
-deterministic grid, filters by the sign conditions, and deduplicates.
+enumerate_solutions is the exhaustive desk-scale oracle: one engine call
+runs every piece from a deterministic grid, and each piece's roots are
+filtered by the sign conditions and deduplicated from its own rows.
 
 certify_unsolvable gives a grid + Lipschitz-margin certificate of
 non-existence on a compact box; it reports "inconclusive" rather than guess.
@@ -132,38 +130,90 @@ class SolveReport:
 
 # --- batched damped Newton ------------------------------------------------
 
+# Rows per kernel call of the Armijo step ladder; a batch larger than this
+# tries one step length per call.
+_LADDER_ROWS = 256
+# Most rows per kernel call: kernel temporaries grow with the rows.
+_KERNEL_ROWS = 4096
 
-def _solve_rows(J: np.ndarray, r: np.ndarray, singular_tol: float) -> np.ndarray:
-    """Directions d with J d = -r, rowwise; least-squares on singular rows."""
+
+def _blockwise(fn, X: np.ndarray) -> np.ndarray:
+    if X.shape[0] <= _KERNEL_ROWS:
+        return fn(X)
+    return np.concatenate([fn(X[i : i + _KERNEL_ROWS]) for i in range(0, X.shape[0], _KERNEL_ROWS)])
+
+
+def _solve_rows(J: np.ndarray, r: np.ndarray, k: np.ndarray, off, singular_tol: float) -> np.ndarray:
+    """Directions d with J d = -r, rowwise. A row with |det J| <= singular_tol
+    * max(1, max|J|^k) takes the minimum-norm least-squares direction of its
+    k x k system (np.linalg.lstsq(rcond=None)'s cutoff), from one stacked
+    pseudo-inverse that leaves out the identity entries marked by off;
+    d is exactly 0 where off is set."""
     d = np.empty_like(r)
     dets = np.linalg.det(J)
-    scale = np.maximum(1.0, np.abs(J).max(axis=(1, 2)) ** J.shape[1])
+    scale = np.maximum(1.0, np.abs(J).max(axis=(1, 2)) ** k)
     good = np.abs(dets) > singular_tol * scale
     if np.any(good):
         d[good] = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
-    for b in np.nonzero(~good)[0]:
-        d[b] = np.linalg.lstsq(J[b], -r[b], rcond=None)[0]
+    bad = ~good
+    if np.any(bad):
+        Jb = J[bad]
+        if off is not None:
+            bi, ci = np.nonzero(off[bad])
+            Jb[bi, ci, ci] = 0.0
+        P = np.linalg.pinv(Jb, np.finfo(np.float64).eps * k[bad])
+        d[bad] = (P @ -r[bad][..., None])[..., 0]
+    if off is not None:
+        d[off] = 0.0
     return d
 
 
-def _newton_batch(
-    eval_fn,
-    jac_fn,
-    X0: np.ndarray,
-    tol: float,
-    max_iters: int,
-    armijo_factor: float,
-    max_halvings: int,
-    box_cap: float,
-):
-    """Damped Newton from all rows of X0 at once.
+def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, max_iters: int,
+                  armijo_factor: float, max_halvings: int, box_cap: float,
+                  beta: np.ndarray | None = None, p: np.ndarray | None = None):
+    """Damped semismooth Newton from all rows of X0 at once.
 
-    Armijo backtracking on the squared residual; rows that converge freeze,
-    rows that cannot make progress die. Returns (X, converged, res_norms,
-    iterations_used)."""
+    Without beta the rows solve min{x, f(x)+q} = 0. With a (B, n) boolean
+    beta, row b solves the masked piece where(beta_b, f(x)+q-p, x-p) = 0:
+    its Jacobian keeps the f-block on beta_b with identity rows and columns
+    elsewhere, so x_i stays p_i off beta_b (where X0 must hold p), det J =
+    det J_(beta_b, beta_b), and the singular-scale exponent is |beta_b|.
+
+    Armijo backtracking on the squared residual as a step ladder: the
+    lengths 1, a, a^2, ..., a^max_halvings of all refused rows are tried
+    together, as many per kernel call as fit in _LADDER_ROWS rows, and each
+    row takes its first acceptable one -- the rule of halving one at a
+    time. Converged rows freeze; rows with no acceptable step die. Returns
+    (X, converged, res_norms, iterations_used).
+    """
     X = np.clip(np.array(X0, dtype=np.float64, copy=True), -box_cap, box_cap)
-    B = X.shape[0]
-    r = eval_fn(X)
+    B, n = X.shape
+    if beta is None:
+        shift, k, off = q, np.full(B, n), None
+    else:
+        shift, k, off = q - p, beta.sum(axis=1), ~beta
+
+    def residual(Xr, rows):
+        Y = _blockwise(f.eval_batch, Xr) + shift
+        if off is None:
+            return np.minimum(Xr, Y), Y
+        return np.where(off[rows], Xr - p, Y), Y
+
+    def jacobian(Xr, Y, rows):
+        J = _blockwise(f.jacobian_batch, Xr)
+        if off is None:
+            bi, ci = np.nonzero(Xr < Y)  # x-branch rows; ties keep the f-row
+            J[bi, ci, :] = 0.0
+        else:
+            o = off[rows]
+            J[o] = 0.0
+            J.transpose(0, 2, 1)[o] = 0.0
+            bi, ci = np.nonzero(o)
+        J[bi, ci, ci] = 1.0
+        return J
+
+    steps = np.cumprod(np.r_[1.0, np.full(max_halvings, armijo_factor)])
+    r, Y = residual(X, np.arange(B))
     rn = np.abs(r).max(axis=1)
     converged = rn <= tol
     dead = np.zeros(B, dtype=bool)
@@ -173,78 +223,50 @@ def _newton_batch(
         if act.size == 0:
             break
         iters += 1
-        Xa, ra = X[act], r[act]
-        J = jac_fn(Xa)
-        d = _solve_rows(J, ra, singular_tol=1e-14)
+        Xa, ra, Ya = X[act], r[act], Y[act]
+        offa = None if off is None else off[act]
+        d = _solve_rows(jacobian(Xa, Ya, act), ra, k[act], offa, singular_tol=1e-14)
         theta0 = np.einsum("bi,bi->b", ra, ra)
-        t = np.ones(act.size)
         accepted = np.zeros(act.size, dtype=bool)
-        for _h in range(max_halvings + 1):
+        h = 0
+        while h < steps.size and not accepted.all():
             trial = np.nonzero(~accepted)[0]
-            if trial.size == 0:
-                break
-            Xt = np.clip(Xa[trial] + t[trial, None] * d[trial], -box_cap, box_cap)
-            rt = eval_fn(Xt)
-            thetat = np.einsum("bi,bi->b", rt, rt)
-            ok = thetat <= (1.0 - 1e-4 * t[trial]) * theta0[trial]
-            ok |= thetat <= tol * tol
-            hit = trial[ok]
-            Xa[hit] = Xt[ok]
-            ra[hit] = rt[ok]
+            ts = steps[h : h + max(1, _LADDER_ROWS // trial.size)]
+            h += ts.size
+            Xt = np.clip(Xa[trial] + ts[:, None, None] * d[trial], -box_cap, box_cap).reshape(-1, n)
+            rt, Yt = residual(Xt, np.tile(act[trial], ts.size))
+            thetat = np.einsum("bi,bi->b", rt, rt).reshape(ts.size, trial.size)
+            ok = (thetat <= (1.0 - 1e-4 * ts[:, None]) * theta0[trial]) | (thetat <= tol * tol)
+            take = ok.any(axis=0)
+            src = ok.argmax(axis=0)[take] * trial.size + np.nonzero(take)[0]
+            hit = trial[take]
+            Xa[hit], ra[hit], Ya[hit] = Xt[src], rt[src], Yt[src]
             accepted[hit] = True
-            t[trial[~ok]] *= armijo_factor
-        X[act] = Xa
-        r[act] = ra
+        X[act], r[act], Y[act] = Xa, ra, Ya
         rn[act] = np.abs(ra).max(axis=1)
         converged[act] = rn[act] <= tol
         dead[act[~accepted & ~converged[act]]] = True
     return X, converged, rn, iters
 
 
-# --- min-map closures -------------------------------------------------------
+def _stack_pieces(p: np.ndarray, pieces: list[tuple], nodes: np.ndarray, extra=None):
+    """Full-row starts and branch masks of masked pieces for _newton_batch.
 
-
-def _minmap_fns(f, q):
-    def ev(X):
-        return np.minimum(X, f.eval_batch(X) + q)
-
-    def jc(X):
-        Y = f.eval_batch(X) + q
-        J = f.jacobian_batch(X)
-        bi, ci = np.nonzero(X < Y)  # x-branch rows; ties keep the f-row
-        J[bi, ci, :] = 0.0
-        J[bi, ci, ci] = 1.0
-        return J
-
-    return ev, jc
-
-
-def _pattern_fns(f, q, beta: tuple, p: np.ndarray):
-    """Piece of min{x, f(x)+q} = p on which the indices in beta take the
-    f-branch: unknowns x_beta, x_i = p_i elsewhere, equations
-    f_beta(x) + (q-p)_beta = 0."""
-    b = np.array(beta, dtype=int)
-    shift = (q - p)[b]
-
-    def embed(U):
-        X = np.empty((U.shape[0], p.size))
-        X[:] = p
-        X[:, b] = U
-        return X
-
-    def ev(U):
-        return f.eval_batch(embed(U))[:, b] + shift
-
-    def jc(U):
-        J = f.jacobian_batch(embed(U))
-        return J[:, b[:, None], b[None, :]]
-
-    return embed, ev, jc
-
-
-def _grid_starts(k: int, radius: float, per_axis: int) -> np.ndarray:
-    axis = np.linspace(0.0, radius, per_axis)
-    return np.array(list(itertools.product(axis, repeat=k)))
+    Piece j takes the f-branch on the indices pieces[j]; its starts are the
+    grid nodes^|pieces[j]|, then the rows of extra[j], on those coordinates,
+    and p on the others. Returns (X0, beta, offsets); piece j owns rows
+    offsets[j]:offsets[j+1].
+    """
+    starts = [np.array(list(itertools.product(nodes, repeat=len(idx)))) for idx in pieces]
+    if extra is not None:
+        starts = [np.vstack([U, E]) if len(E) else U for U, E in zip(starts, extra)]
+    offsets = np.cumsum([0] + [U.shape[0] for U in starts])
+    X0 = np.repeat(p[None, :], offsets[-1], axis=0)
+    beta = np.zeros(X0.shape, dtype=bool)
+    for j, (idx, U) in enumerate(zip(pieces, starts)):
+        X0[offsets[j] : offsets[j + 1], list(idx)] = U
+        beta[offsets[j] : offsets[j + 1], list(idx)] = True
+    return X0, beta, offsets
 
 
 def _pattern_poly_coeffs(f, q, alpha: tuple) -> list[np.ndarray]:
@@ -478,16 +500,9 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
             rng.uniform(0.0, cfg.search_radius, size=(cfg.multistart, n)),
         ]
     )
-    ev, jc = _minmap_fns(f, q)
-    newton_tol = max(1e-13, tols.root / 100.0)
     X, converged, rn, iters = _newton_batch(
-        ev,
-        jc,
-        starts,
-        tol=newton_tol,
-        max_iters=cfg.newton_max_iters,
-        armijo_factor=cfg.armijo_factor,
-        max_halvings=cfg.max_halvings,
+        f, q, starts, tol=max(1e-13, tols.root / 100.0), max_iters=cfg.newton_max_iters,
+        armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings,
         box_cap=10.0 * cfg.search_radius,
     )
     diagnostics = {
@@ -532,78 +547,68 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
 
 
 def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
-    """One enumeration sweep; returns (solutions, pattern diagnostics)."""
+    """One enumeration sweep; returns (solutions, pattern diagnostics).
+
+    Every piece with a nonempty f-branch set alpha runs in one engine call,
+    from a per_axis grid on [0, R]^|alpha| plus, for |alpha| <= 2, the
+    algebraic candidates; each piece's roots are read from its own rows.
+    """
     f, q, n = inst.map, inst.q, inst.dim
     tols = cfg.tolerances
     R = cfg.search_radius
-    newton_tol = max(1e-13, tols.root / 100.0)
+    pieces = [a for size in range(1, n + 1) for a in itertools.combinations(range(n), size)]
+    extra = []
+    for alpha in pieces:
+        # exact roots of the pattern polynomials as extra starts; the usual
+        # polish and filters decide what survives
+        cand = _algebraic_candidates(f, q, alpha) if len(alpha) <= 2 else []
+        extra.append(cand[np.abs(cand).max(axis=1) <= 2.0 * R] if len(cand) else [])
+    X0, beta, offsets = _stack_pieces(np.zeros(n), pieces, np.linspace(0.0, R, per_axis), extra)
+    X, converged, rn, _ = _newton_batch(
+        f, q, X0, tol=max(1e-13, tols.root / 100.0), max_iters=cfg.newton_max_iters,
+        armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings, box_cap=4.0 * R,
+        beta=beta, p=np.zeros(n),
+    )
+    # residual-based acceptance, floored by the evaluation noise at each
+    # point; the converged flag alone would drop roots whose noise floor
+    # sits above the Newton tolerance
+    gate = np.maximum(tols.root, _float_noise_floor(f, q, X))
     found: list[np.ndarray] = []
     diag: dict[str, dict] = {}
-    for size in range(n + 1):
-        for alpha in itertools.combinations(range(n), size):
-            key = ",".join(str(i + 1) for i in alpha) or "-"
-            if not alpha:
-                if q.min() >= -tols.feasibility:
-                    found.append(np.zeros(n))
-                    diag[key] = {"status": "roots:1"}
-                else:
-                    diag[key] = {"status": "inconsistent", "best_residual": float(max(0.0, -q.min()))}
+    if q.min() >= -tols.feasibility:
+        found.append(np.zeros(n))
+        diag["-"] = {"status": "roots:1"}
+    else:
+        diag["-"] = {"status": "inconsistent", "best_residual": float(max(0.0, -q.min()))}
+    for j, alpha in enumerate(pieces):
+        lo, hi = offsets[j], offsets[j + 1]
+        key = ",".join(str(i + 1) for i in alpha)
+        comp = [i for i in range(n) if i not in alpha]
+        roots: list[np.ndarray] = []
+        for b in lo + np.nonzero(rn[lo:hi] <= gate[lo:hi])[0]:
+            u = X[b]
+            if u.min() < -tols.feasibility or np.abs(u).max() > R * (1 + 1e-9):
                 continue
-            embed, ev, jc = _pattern_fns(f, q, alpha, np.zeros(n))
-            starts = _grid_starts(len(alpha), R, per_axis)
-            n_algebraic = 0
-            if len(alpha) <= 2:
-                cand = _algebraic_candidates(f, q, alpha)
-                if cand.size:
-                    # exact roots of the pattern polynomials as extra starts;
-                    # the usual polish and filters decide what survives
-                    cand = cand[np.abs(cand).max(axis=1) <= 2.0 * R]
-                    n_algebraic = int(cand.shape[0])
-                    if n_algebraic:
-                        starts = np.vstack([starts, cand])
-            U, converged, rn, _ = _newton_batch(
-                ev,
-                jc,
-                starts,
-                tol=newton_tol,
-                max_iters=cfg.newton_max_iters,
-                armijo_factor=cfg.armijo_factor,
-                max_halvings=cfg.max_halvings,
-                box_cap=4.0 * R,
-            )
-            roots: list[np.ndarray] = []
-            # residual-based acceptance, floored by the evaluation noise at
-            # each point; the converged flag alone would drop roots whose
-            # noise floor sits above the Newton tolerance
-            gate = np.maximum(tols.root, _float_noise_floor(f, q, U))
-            for b in np.nonzero(rn <= gate)[0]:
-                u = U[b]
-                if u.min() < -tols.feasibility or np.abs(u).max() > R * (1 + 1e-9):
-                    continue
-                x = _clean(np.maximum(embed(u[None, :])[0], 0.0))
-                y = inst.y(x)
-                comp = [i for i in range(n) if i not in alpha]
-                y_tol = max(tols.feasibility, float(_float_noise_floor(f, q, x)))
-                if comp and min(y[i] for i in comp) < -y_tol:
-                    continue
-                roots.append(x)
-            roots = _dedupe(roots, tols.dedupe)
-            best = float(rn.min()) if rn.size else float("inf")
-            if roots:
-                diag[key] = {"status": f"roots:{len(roots)}"}
-                if n_algebraic:
-                    diag[key]["algebraic_candidates"] = n_algebraic
-                found.extend(roots)
-            else:
-                entry = {"status": "inconsistent", "best_residual": best}
-                if converged.any():
-                    # converged but filtered away by sign conditions
-                    entry["status"] = "inconsistent"
-                    entry["sign_filtered"] = int(converged.sum())
-                bestb = int(np.argmin(rn)) if rn.size else -1
-                if bestb >= 0:
-                    entry["best_point_norm"] = float(np.abs(U[bestb]).max())
-                diag[key] = entry
+            x = _clean(np.maximum(u, 0.0))
+            y = inst.y(x)
+            y_tol = max(tols.feasibility, float(_float_noise_floor(f, q, x)))
+            if comp and min(y[i] for i in comp) < -y_tol:
+                continue
+            roots.append(x)
+        roots = _dedupe(roots, tols.dedupe)
+        if roots:
+            diag[key] = {"status": f"roots:{len(roots)}"}
+            if len(extra[j]):
+                diag[key]["algebraic_candidates"] = len(extra[j])
+            found.extend(roots)
+            continue
+        entry = {"status": "inconsistent", "best_residual": float(rn[lo:hi].min())}
+        n_conv = int(converged[lo:hi].sum())
+        if n_conv:
+            # converged but filtered away by sign conditions
+            entry["sign_filtered"] = n_conv
+        entry["best_point_norm"] = float(np.abs(X[lo + np.argmin(rn[lo:hi])]).max())
+        diag[key] = entry
     return _dedupe(found, tols.dedupe), diag
 
 
@@ -694,9 +699,8 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
     U0 = np.vstack([U0, r / np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1e-12)])
     if unique_starts:
         U0 = np.array(_dedupe(list(U0), 1e-9))
-    ev, jc = _minmap_fns(F, np.zeros(n))
     X, converged, _, _ = _newton_batch(
-        ev, jc, U0, tol=tol, max_iters=40, armijo_factor=cfg.armijo_factor,
+        F, np.zeros(n), U0, tol=tol, max_iters=40, armijo_factor=cfg.armijo_factor,
         max_halvings=cfg.max_halvings, box_cap=100.0,
     )
     roots = []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pcpkit import degree as degree_module
+from pcpkit.constructions import matrix_power_tensor
 from pcpkit.degree import (
     homotopy_invariance_check,
     local_degree_min_map,
@@ -9,7 +11,7 @@ from pcpkit.degree import (
     winding_degree_2d,
 )
 from pcpkit.errors import InvalidInputError
-from pcpkit.solver import verify_solution
+from pcpkit.solver import SolveConfig, verify_solution
 from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
 
 
@@ -99,3 +101,36 @@ def test_stability_radius_on_example1():
     assert st.base_degree == -1
     assert st.largest_stable_scale == 1e-2
     assert all(e["unchanged"] for e in st.per_scale)
+
+
+def test_solve_config_reaches_the_preimage_newton(monkeypatch):
+    engine = degree_module._newton_batch
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["armijo_factor"], kwargs["max_halvings"]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(degree_module, "_newton_batch", spy)
+    cfg = SolveConfig(armijo_factor=0.25, max_halvings=12)
+    local_degree_min_map(example1_tensor(), cfg=cfg)
+    f = PolynomialMap([diag_cube(), Tensor(0.5 * np.eye(2))])
+    homotopy_invariance_check(f, "to-leading-term", q=np.array([-1.0, -1.0]), cfg=cfg)
+    assert seen and set(seen) == {(0.25, 12)}
+
+
+def test_degree_kernel_call_budget(monkeypatch):
+    # one engine call per preimage sweep, with the Armijo step lengths of a
+    # Newton step evaluated together: at most a third of the 821
+    # Tensor.apply_batch calls that one evaluation per halving took
+    apply = Tensor.apply_batch
+    calls = [0]
+
+    def counted(self, X):
+        calls[0] += 1
+        return apply(self, X)
+
+    monkeypatch.setattr(Tensor, "apply_batch", counted)
+    A = 2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
+    assert tensor_degree(matrix_power_tensor(A, 3)).value == 1
+    assert calls[0] <= 274

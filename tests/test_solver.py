@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from pcpkit.config import Tolerances
-from pcpkit.constructions import matrix_power_tensor
+from pcpkit.constructions import example_catalog, matrix_power_tensor
 from pcpkit.errors import InvalidInputError
+from pcpkit import degree as degree_module
+from pcpkit import solver as solver_module
 from pcpkit.lcp import lcp_enumerate
 from pcpkit.solver import (
     SolveConfig,
+    _newton_batch,
+    _solve_rows,
+    _stack_pieces,
     boundedness_probe,
     certify_unsolvable,
     check_sol_infty_zero,
@@ -222,3 +227,253 @@ def test_far_root_is_reported_once():
     rep = enumerate_solutions(inst, SolveConfig().with_radius(radius))
     assert len(rep.solutions) == 1
     assert np.abs(rep.solutions[0] - x_star).max() <= 1e-4 * np.abs(x_star).max()
+
+
+# --- the batched Newton engine --------------------------------------------
+
+
+def _halving_reference(ev, jc, X0, tol, max_iters, armijo_factor, max_halvings, box_cap):
+    """Damped Newton with one evaluation per Armijo halving and a per-row
+    lstsq on singular rows: the sequential rule the step ladder replaces.
+    Also returns the largest number of halvings one step took."""
+    X = np.clip(np.array(X0, dtype=np.float64, copy=True), -box_cap, box_cap)
+    r = ev(X)
+    rn = np.abs(r).max(axis=1)
+    converged = rn <= tol
+    dead = np.zeros(X.shape[0], dtype=bool)
+    iters = most_halvings = 0
+    for _ in range(max_iters):
+        act = np.nonzero(~converged & ~dead)[0]
+        if act.size == 0:
+            break
+        iters += 1
+        Xa, ra = X[act], r[act]
+        J = jc(Xa)
+        d = np.empty_like(ra)
+        dets = np.linalg.det(J)
+        scale = np.maximum(1.0, np.abs(J).max(axis=(1, 2)) ** J.shape[1])
+        good = np.abs(dets) > 1e-14 * scale
+        if np.any(good):
+            d[good] = np.linalg.solve(J[good], -ra[good][..., None])[..., 0]
+        for b in np.nonzero(~good)[0]:
+            d[b] = np.linalg.lstsq(J[b], -ra[b], rcond=None)[0]
+        theta0 = np.einsum("bi,bi->b", ra, ra)
+        t = np.ones(act.size)
+        accepted = np.zeros(act.size, dtype=bool)
+        for h in range(max_halvings + 1):
+            trial = np.nonzero(~accepted)[0]
+            if trial.size == 0:
+                break
+            Xt = np.clip(Xa[trial] + t[trial, None] * d[trial], -box_cap, box_cap)
+            rt = ev(Xt)
+            thetat = np.einsum("bi,bi->b", rt, rt)
+            ok = thetat <= (1.0 - 1e-4 * t[trial]) * theta0[trial]
+            ok |= thetat <= tol * tol
+            if ok.any():
+                most_halvings = max(most_halvings, h)
+            hit = trial[ok]
+            Xa[hit] = Xt[ok]
+            ra[hit] = rt[ok]
+            accepted[hit] = True
+            t[trial[~ok]] *= armijo_factor
+        X[act] = Xa
+        r[act] = ra
+        rn[act] = np.abs(ra).max(axis=1)
+        converged[act] = rn[act] <= tol
+        dead[act[~accepted & ~converged[act]]] = True
+    return X, converged, rn, iters, dead, most_halvings
+
+
+def _random_cubic(rng, n):
+    return PolynomialMap([Tensor(rng.normal(size=(n,) * 4)), Tensor(rng.normal(size=(n, n)))])
+
+
+class _RowwiseCubic:
+    """A random cubic map evaluated one row at a time, so that a row's value
+    does not depend on the batch it is evaluated in (BLAS products can
+    differ in the last bit from one batch size to another)."""
+
+    def __init__(self, rng, n):
+        self.C = rng.normal(size=(n,) * 4)
+        self.G = self.C + self.C.transpose(0, 2, 1, 3) + self.C.transpose(0, 2, 3, 1)
+
+    def eval_batch(self, X):
+        return np.array([np.einsum("ijkl,j,k,l->i", self.C, x, x, x) for x in X]).reshape(X.shape)
+
+    def jacobian_batch(self, X):
+        return np.array([np.einsum("ijkl,k,l->ij", self.G, x, x) for x in X]).reshape(
+            X.shape + X.shape[1:]
+        )
+
+
+def _minmap_reference_fns(f, q):
+    def ev(X):
+        return np.minimum(X, f.eval_batch(X) + q)
+
+    def jc(X):
+        J = f.jacobian_batch(X)
+        bi, ci = np.nonzero(X < f.eval_batch(X) + q)
+        J[bi, ci, :] = 0.0
+        J[bi, ci, ci] = 1.0
+        return J
+
+    return ev, jc
+
+
+def _piece_reference_fns(f, q, beta, p):
+    """The piece on beta as its own |beta|-dimensional system."""
+    b = np.array(beta)
+
+    def embed(U):
+        X = np.repeat(p[None, :], U.shape[0], axis=0)
+        X[:, b] = U
+        return X
+
+    return (lambda U: f.eval_batch(embed(U))[:, b] + (q - p)[b],
+            lambda U: f.jacobian_batch(embed(U))[:, b[:, None], b[None, :]])
+
+
+def _assert_same_run(got, ref):
+    X, converged, rn, iters = got
+    Xr, cr, rnr, itr = ref[:4]
+    assert iters == itr
+    assert np.array_equal(converged, cr)
+    assert np.abs(X - Xr).max() <= 1e-12 * (1.0 + np.abs(Xr).max())
+
+
+@pytest.mark.parametrize("max_halvings", [30, 0])
+def test_step_ladder_matches_sequential_halving(max_halvings):
+    seen = {"converged": 0, "dead": 0, "halvings": 0}
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 3
+        f, q = _RowwiseCubic(rng, n), rng.normal(size=n)
+        # starts near and far, so that rows converge, backtrack and die
+        X0 = np.vstack([np.zeros(n), rng.uniform(-1, 1, (30, n)), rng.uniform(-8, 8, (30, n))])
+        kw = dict(tol=1e-13, max_iters=40, armijo_factor=0.5, max_halvings=max_halvings,
+                  box_cap=50.0)
+        ref = _halving_reference(*_minmap_reference_fns(f, q), X0, **kw)
+        _assert_same_run(_newton_batch(f, q, X0, **kw), ref)
+        seen["converged"] += int(ref[1].sum())
+        seen["dead"] += int(ref[4].sum())
+        seen["halvings"] = max(seen["halvings"], ref[5])
+    assert seen["converged"] and seen["dead"]
+    assert seen["halvings"] >= (8 if max_halvings else 0)
+
+
+def test_masked_pieces_match_their_own_systems():
+    rng = np.random.default_rng(5)
+    n = 4
+    f, q, p = _random_cubic(rng, n), rng.normal(size=n), rng.normal(scale=1e-2, size=n)
+    pieces = [(0,), (1, 3), (0, 2, 3), (0, 1, 2, 3)]
+    extra = [rng.uniform(-2, 2, (20, len(b))) for b in pieces]
+    kw = dict(tol=1e-13, max_iters=40, armijo_factor=0.5, max_halvings=30, box_cap=50.0)
+    X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-2.0, 2.0, 3), extra)
+    X, converged, rn, _ = _newton_batch(f, q, X0, beta=beta, p=p, **kw)
+    # off the mask every returned row still holds p, bit for bit
+    assert np.array_equal(X[~beta], np.broadcast_to(p, X.shape)[~beta])
+    assert converged.any() and not converged.all()
+    # Rows that die stop near a singular Jacobian, where the last bits of
+    # the |beta| x |beta| and the masked n x n factorizations get amplified;
+    # the points are compared on the rows that converge.
+    for j, b in enumerate(pieces):
+        rows = slice(offsets[j], offsets[j + 1])
+        alone = _newton_batch(f, q, X0[rows], beta=beta[rows], p=p, **kw)
+        ref = _halving_reference(*_piece_reference_fns(f, q, b, p), X0[rows][:, list(b)], **kw)
+        assert alone[3] == ref[3]
+        c = ref[1]
+        assert np.array_equal(alone[1], c) and np.array_equal(converged[rows], c)
+        for got in (alone[0], X[rows]):
+            assert np.abs(got[c][:, list(b)] - ref[0][c]).max() <= 1e-12 * (1.0 + np.abs(ref[0]).max())
+
+
+def test_stacked_least_squares_matches_lstsq():
+    rng = np.random.default_rng(2)
+    n, B = 4, 40
+    ranks = rng.integers(0, n, size=B)
+    J = np.stack([rng.normal(size=(n, k)) @ rng.normal(size=(k, n)) for k in ranks])
+    r = rng.normal(size=(B, n))
+    d = _solve_rows(J, r, np.full(B, n), None, singular_tol=1e-14)
+    for b in range(B):
+        ref = np.linalg.lstsq(J[b], -r[b], rcond=None)[0]
+        assert np.abs(d[b] - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+    # a masked piece: the direction is that of its own |beta| x |beta| block
+    beta = np.array([True, False, True, True])
+    Jm = J.copy()
+    Jm[:, ~beta, :] = 0.0
+    Jm[:, :, ~beta] = 0.0
+    Jm[:, 1, 1] = 1.0
+    rm = r.copy()
+    rm[:, 1] = 0.0
+    d = _solve_rows(Jm, rm, np.full(B, 3), np.broadcast_to(~beta, (B, n)), singular_tol=1e-14)
+    for b in range(B):
+        ref = np.linalg.lstsq(Jm[b][np.ix_(beta, beta)], -rm[b, beta], rcond=None)[0]
+        if abs(np.linalg.det(Jm[b])) <= 1e-14 * max(1.0, np.abs(Jm[b]).max() ** 3):
+            assert np.abs(d[b, beta] - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+            assert d[b, 1] == 0.0
+
+
+def _piece_by_piece(monkeypatch, module):
+    """Route module._newton_batch through one engine call per distinct mask."""
+    engine = module._newton_batch
+
+    def split(f, q, X0, beta=None, p=None, **kw):
+        if beta is None:
+            return engine(f, q, X0, **kw)
+        X, conv, rn = np.empty_like(X0), np.zeros(len(X0), bool), np.empty(len(X0))
+        for mask in np.unique(beta, axis=0):
+            rows = np.nonzero((beta == mask).all(axis=1))[0]
+            X[rows], conv[rows], rn[rows], _ = engine(f, q, X0[rows], beta=beta[rows], p=p, **kw)
+        return X, conv, rn, 0
+
+    monkeypatch.setattr(module, "_newton_batch", split)
+
+
+def _eq4_instances():
+    rng = np.random.default_rng(11)
+    for n, k in [(2, 3), (2, 5), (3, 3)]:
+        A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n) * rng.choice([-1.0, 1.0])
+        yield PcpInstance(PolynomialMap([matrix_power_tensor(A, k)]), rng.uniform(-1, 1, n))
+    yield PcpInstance(example1_tensor(), np.array([-1.0, 0.5]))
+    yield PcpInstance(PolynomialMap([diag_cube(), Tensor(0.5 * np.eye(2))]), np.array([-1.0, 1.0]))
+
+
+def _preimage_cases():
+    rng = np.random.default_rng(4)
+    tensors = [e.payload for e in example_catalog() if e.kind == "tensor"]
+    for T in tensors:
+        yield PolynomialMap([T]), np.zeros(T.dim), rng.uniform(-1e-2, 1e-2, T.dim)
+    for inst in _eq4_instances():
+        yield inst.map, inst.q, rng.uniform(-1e-2, 1e-2, inst.dim)
+
+
+def _preimages_or_retry(F, q, p):
+    try:
+        return degree_module._preimage_set(F, q, p, 2.0, SolveConfig())
+    except degree_module._Retry as e:
+        return str(e)
+
+
+def test_all_pieces_in_one_call_match_piece_by_piece(monkeypatch):
+    merged = [enumerate_solutions(inst) for inst in _eq4_instances()]
+    pre = [_preimages_or_retry(*case) for case in _preimage_cases()]
+    assert sum(isinstance(s, list) and len(s) > 0 for s in pre) >= 10
+    _piece_by_piece(monkeypatch, solver_module)
+    _piece_by_piece(monkeypatch, degree_module)
+    for inst, rep in zip(_eq4_instances(), merged):
+        alone = enumerate_solutions(inst)
+        assert alone.completeness == rep.completeness
+        assert len(alone.solutions) == len(rep.solutions)
+        for x, y in zip(alone.solutions, rep.solutions):
+            assert np.abs(x - y).max() <= 1e-12 * (1.0 + np.abs(y).max())
+        assert {k: v["status"] for k, v in alone.diagnostics["patterns"].items()} == {
+            k: v["status"] for k, v in rep.diagnostics["patterns"].items()
+        }
+    for case, want in zip(_preimage_cases(), pre):
+        got = _preimages_or_retry(*case)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert [s for _, s, _ in got] == [s for _, s, _ in want]
+        for (x, _, _), (y, _, _) in zip(got, want):
+            assert np.abs(x - y).max() <= 1e-12 * (1.0 + np.abs(y).max())
