@@ -9,8 +9,8 @@ winding cross-check), homotopy and stability probes, classic LCP machinery
 verdicts, and factories for the reference catalog the test suites check
 against.
 
-The hot tensor kernels run through a compiled extension when available; set
-PCPKIT_PURE_PYTHON=1 to force the NumPy fallback (see pcpkit.backend).
+The tensor kernels are plain NumPy (pcpkit._core_numpy); the package has no
+compiled parts.
 """
 
 from .backend import backend_name

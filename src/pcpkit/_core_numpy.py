@@ -9,15 +9,14 @@ The Jacobian of that map follows from the product rule, one contraction per
 trailing position. Both operations are exposed batched: X has shape (B, n)
 and the kernels return (B, n) values and (B, n, n) Jacobians.
 
-The compiled backend in _core_c implements the same contract with C loops;
-pcpkit.backend picks one at import time.
+These are the only kernels: every Tensor evaluates through a NumpyKernel.
+Their temporaries hold (B, n**(m-1)) product tables, so callers with many
+rows split them into blocks (see solver._KERNEL_ROWS).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-NAME = "numpy"
 
 
 def _trailing_products(X: np.ndarray, count: int) -> list[np.ndarray]:
@@ -34,7 +33,7 @@ def _trailing_products(X: np.ndarray, count: int) -> list[np.ndarray]:
 class NumpyKernel:
     """Batched apply/jacobian for one coefficient tensor."""
 
-    name = NAME
+    name = "numpy"
 
     def __init__(self, coeffs: np.ndarray):
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
@@ -73,7 +72,3 @@ class NumpyKernel:
             W_p = (prefix[p][:, :, None] * suffix[d - 1 - p][:, None, :]).reshape(B, -1)
             J += np.tensordot(W_p, self._jac_blocks[p], axes=([1], [2]))
         return J
-
-
-def make_kernel(coeffs: np.ndarray) -> NumpyKernel:
-    return NumpyKernel(coeffs)

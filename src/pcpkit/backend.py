@@ -1,64 +1,15 @@
-"""Kernel backend selection.
+"""Name of the kernel backend.
 
-The compiled extension (pcpkit._core_c, Cython) is preferred when it imported
-cleanly; the numpy kernels are the fallback and the reference implementation.
-Set PCPKIT_PURE_PYTHON=1 to force the numpy backend regardless.
-
-Both backends satisfy the same contract: make_kernel(coeffs) returns an object
-with .apply(X) -> (B, n) and .jacobian(X) -> (B, n, n) for X of shape (B, n).
+Every tensor is evaluated by the numpy kernels in pcpkit._core_numpy;
+backend_name() is what solve and enumerate_solutions record in their
+diagnostics.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-from . import _core_numpy
-
-try:
-    from . import _core_c
-
-    _HAVE_COMPILED = True
-except ImportError:
-    _core_c = None
-    _HAVE_COMPILED = False
-
-_FORCE_PURE = os.environ.get("PCPKIT_PURE_PYTHON", "").strip() not in ("", "0")
-
-
-class CompiledKernel:
-    """Thin wrapper allocating outputs for the C loops."""
-
-    name = "compiled"
-
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        self.order = coeffs.ndim
-        self.dim = coeffs.shape[0]
-        self._flat = coeffs.reshape(-1)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], self.dim))
-        _core_c.apply_batch(self._flat, self.dim, self.order, X, out)
-        return out
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], self.dim, self.dim))
-        _core_c.jacobian_batch(self._flat, self.dim, self.order, X, out)
-        return out
+# Read by perfbench/kernels.py, which times a compiled column when this is set.
+_HAVE_COMPILED = False
 
 
 def backend_name() -> str:
-    if _HAVE_COMPILED and not _FORCE_PURE:
-        return "compiled"
     return "numpy"
-
-
-def make_kernel(coeffs: np.ndarray):
-    """Kernel for one coefficient tensor, using the active backend."""
-    if backend_name() == "compiled" and coeffs.ndim <= _core_c.MAX_ORDER:
-        return CompiledKernel(coeffs)
-    return _core_numpy.NumpyKernel(coeffs)

@@ -30,6 +30,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, InvalidInputError, PcpKitError
 from .solver import (
     SolveConfig,
+    ZeroConeReport,
     _newton_batch,
     _stack_pieces,
     check_sol_infty_zero,
@@ -311,7 +312,13 @@ def local_degree_min_map(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConf
         raise InvalidInputError("local degree at the origin needs a homogeneous map")
     if F.dim > _MAX_DEGREE_DIM:
         raise InvalidInputError(f"degree computation capped at dim {_MAX_DEGREE_DIM}")
-    zero = check_sol_infty_zero(F, seed=seed, cfg=cfg)
+    return _regular_value_estimate(F, check_sol_infty_zero(F, seed=seed, cfg=cfg), seed, cfg)
+
+
+def _regular_value_estimate(
+    F: PolynomialMap, zero: ZeroConeReport, seed: int, cfg: SolveConfig
+) -> DegreeEstimate:
+    """local_degree_min_map past its input checks, given F's zero-cone report."""
     if not zero.zero_only:
         raise InvalidInputError(
             "degree at the origin needs SOL(f_inf,0)={0}; "
@@ -338,7 +345,12 @@ def tensor_degree(A: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -
     and the two must agree.
     """
     F = leading_term(as_map(A))
-    est = local_degree_min_map(F, seed=seed, cfg=cfg)
+    return _winding_cross_check(F, local_degree_min_map(F, seed=seed, cfg=cfg), cfg)
+
+
+def _winding_cross_check(F: PolynomialMap, est: DegreeEstimate, cfg: SolveConfig) -> DegreeEstimate:
+    """In dim 2, record the winding number of min{x, F(x)} in est and
+    raise unless it equals the regular-value degree."""
     if F.dim == 2:
         w = winding_degree_2d(F, radius=1.0, tols=cfg.tolerances)
         est.diagnostics["winding"] = w
@@ -573,19 +585,21 @@ def stability_radius_probe(
     if base.value == 0:
         raise InvalidInputError("stability probe needs a nonzero base degree")
     lead = fm.leading
-    lower = [T for o, T in fm.terms.items() if o != fm.order]
     rng = np.random.default_rng(seed)
     per_scale = []
     largest = None
     for s in sorted(scales):
         noise = rng.uniform(-1.0, 1.0, size=lead.coeffs.shape)
-        pert = PolynomialMap([Tensor(lead.coeffs + s * noise)] + lower)
+        # Only the leading term enters the zero cone and the degree.
+        pert = PolynomialMap.from_tensor(Tensor(lead.coeffs + s * noise))
         zero = check_sol_infty_zero(pert, seed=seed, cfg=cfg)
         entry = {"scale": float(s), "zero_only": zero.zero_only, "degree": None,
                  "unchanged": False}
         if zero.zero_only:
             try:
-                dd = tensor_degree(pert, seed=seed, cfg=cfg)
+                dd = _winding_cross_check(
+                    pert, _regular_value_estimate(pert, zero, seed, cfg), cfg
+                )
                 entry["degree"] = dd.value
                 entry["unchanged"] = dd.value == base.value
             except (DegenerateInputError, InvalidInputError) as e:

@@ -857,7 +857,6 @@ def certify_unsolvable(
     inst: PcpInstance,
     box,
     step: float,
-    chunk: int = 1 << 18,
 ) -> UnsolvableCertificate:
     """Grid + margin certificate that no solution lies in the box.
 
@@ -865,6 +864,7 @@ def certify_unsolvable(
     infinity norm; every point of the box is within step/2 of a grid point,
     so a minimum grid residual above L*step/2 excludes zeros. Reports
     inconclusive otherwise (including when a grid point nearly solves).
+    The grid is evaluated _KERNEL_ROWS points at a time.
     """
     f, q, n = inst.map, inst.q, inst.dim
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -882,8 +882,8 @@ def certify_unsolvable(
     total = int(np.prod(counts))
     best = np.inf
     best_x = np.zeros(n)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _KERNEL_ROWS):
+        idx = np.arange(start, min(start + _KERNEL_ROWS, total))
         coords = np.empty((idx.size, n))
         rem = idx
         for j in range(n - 1, -1, -1):

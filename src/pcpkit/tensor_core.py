@@ -38,16 +38,13 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .backend import make_kernel
+from ._core_numpy import NumpyKernel
 from .errors import InvalidInputError
 
 __all__ = [
     "Tensor",
     "PolynomialMap",
     "PcpInstance",
-    "tensor_apply",
-    "poly_eval",
-    "poly_jacobian",
     "leading_term",
     "min_map",
     "componentwise_power",
@@ -101,7 +98,7 @@ class Tensor:
 
     @cached_property
     def _kernel(self):
-        return make_kernel(self.coeffs)
+        return NumpyKernel(self.coeffs)
 
     def apply(self, x) -> np.ndarray:
         x = _as_vector(x, self.dim)
@@ -246,19 +243,6 @@ class PcpInstance:
 
 
 # --- operations ---------------------------------------------------------
-
-
-def tensor_apply(t: Tensor, x) -> np.ndarray:
-    """Contract the trailing m-1 axes of t with copies of x."""
-    return t.apply(x)
-
-
-def poly_eval(f: MapLike, x) -> np.ndarray:
-    return as_map(f).eval(x)
-
-
-def poly_jacobian(f: MapLike, x) -> np.ndarray:
-    return as_map(f).jacobian(x)
 
 
 def leading_term(f: MapLike) -> PolynomialMap:

@@ -103,6 +103,20 @@ def test_stability_radius_on_example1():
     assert all(e["unchanged"] for e in st.per_scale)
 
 
+def test_stability_probe_checks_each_zero_cone_once(monkeypatch):
+    # the base map and one perturbed map per scale
+    check = degree_module.check_sol_infty_zero
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(degree_module, "check_sol_infty_zero", counting)
+    stability_radius_probe(example1_tensor(), scales=(1e-4, 1e-3, 1e-2))
+    assert len(calls) == 4
+
+
 def test_solve_config_reaches_the_preimage_newton(monkeypatch):
     engine = degree_module._newton_batch
     seen = []

@@ -1,181 +1,80 @@
-"""Backend agreement: the compiled kernels and the numpy reference must
-produce identical contractions, and the environment switch must select the
-fallback.
+"""The numpy kernels against a plain einsum contraction.
 
-The compiled kernel is built once per module from the committed sources with
-``setup.py build_ext`` into a pytest temp directory, so these tests run on a
-plain source checkout and leave nothing behind in the tree. An extension that
-is already importable as ``pcpkit._core_c`` is used instead of a fresh build.
+The reference spells the contraction out index by index in one np.einsum
+call, and the Jacobian as the product rule: one einsum per trailing axis,
+with that axis left free. Order 1 (a constant vector) and one order above
+twelve are included.
 """
-
-import importlib.util
-import os
-import re
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcpkit import backend
 from pcpkit._core_numpy import NumpyKernel
+from pcpkit.solver import solve
+from pcpkit.tensor_core import PcpInstance, Tensor
 
-REPO = Path(__file__).resolve().parents[1]
-PYX = REPO / "src" / "pcpkit" / "_core_c.pyx"
-GENERATED_C = REPO / "src" / "pcpkit" / "_core_c.c"
-BUILD_INPUTS = ("setup.py", "pyproject.toml", "src/pcpkit/_core_c.pyx", "src/pcpkit/_core_c.c")
-
-
-def _missing_build_tool():
-    """Why no extension can be compiled here, or None if the tools exist."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        return f"no C compiler on PATH (sysconfig CC={sysconfig.get_config_var('CC')!r})"
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        return f"no Python.h under {include}"
-    return None
+# subscripts for the trailing axes; "i" is the output row, "z" the batch row
+TRAILING = "abcdefghjklmnopq"
 
 
-@pytest.fixture(scope="module")
-def compiled_core(tmp_path_factory):
-    """The compiled kernel module: the importable one, else a fresh build."""
-    if backend._core_c is not None:
-        return backend._core_c
-    missing = _missing_build_tool()
-    if missing:
-        pytest.skip(missing)
-    # Build from a copy so that a Cython install regenerating the .c never
-    # touches the tracked file.
-    root = tmp_path_factory.mktemp("core_c_build")
-    for rel in BUILD_INPUTS:
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(REPO / rel, root / rel)
-    out = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", "lib", "--build-temp", "tmp"],
-        cwd=root, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    (so_path,) = (root / "lib" / "pcpkit").glob("_core_c*")
-    spec = importlib.util.spec_from_file_location("pcpkit._core_c", so_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _spec(tail: str, free: str) -> str:
+    """einsum spec contracting coeffs[i, tail] with one X row per axis of
+    tail except free, which stays an output axis. The last operand, a batch
+    of ones, keeps the batch axis in the spec when tail is empty."""
+    rows = "".join(f",z{c}" for c in tail if c != free)
+    return f"i{tail}{rows},z->zi{free}"
 
 
-@pytest.fixture
-def compiled_backend(compiled_core, monkeypatch):
-    """backend wired to the compiled module, as if it had imported cleanly."""
-    monkeypatch.setattr(backend, "_core_c", compiled_core)
-    monkeypatch.setattr(backend, "_HAVE_COMPILED", True)
-    monkeypatch.setattr(backend, "_FORCE_PURE", False)
-    return backend
+def reference_apply(coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    tail = TRAILING[: coeffs.ndim - 1]
+    return np.einsum(_spec(tail, ""), coeffs, *[X] * len(tail), np.ones(len(X)))
 
 
-def test_compiled_extension_is_built(compiled_core):
-    for name in ("apply_batch", "jacobian_batch", "MAX_ORDER"):
-        assert hasattr(compiled_core, name), f"compiled kernel lacks {name}"
+def reference_jacobian(coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    tail = TRAILING[: coeffs.ndim - 1]
+    J = np.zeros((len(X), coeffs.shape[0], coeffs.shape[0]))
+    for free in tail:
+        J += np.einsum(_spec(tail, free), coeffs, *[X] * (len(tail) - 1), np.ones(len(X)))
+    return J
 
 
-def test_backend_name_prefers_compiled(compiled_backend, monkeypatch):
-    assert compiled_backend.backend_name() == "compiled"
-    monkeypatch.setattr(compiled_backend, "_FORCE_PURE", True)
-    assert compiled_backend.backend_name() == "numpy"
+def _assert_close(a: np.ndarray, b: np.ndarray) -> None:
+    scale = max(1.0, np.abs(b).max())
+    assert np.abs(a - b).max() <= 1e-12 * scale
 
 
-def test_generated_c_matches_pyx():
-    """Every .pyx line Cython embedded in the committed .c is the current one.
-
-    The .c is the build input when Cython is absent, so a .pyx edited without
-    regenerating it would otherwise build and test stale kernels.
-    """
-    pyx = [""] + PYX.read_text().splitlines()  # 1-based, as Cython numbers them
-    marker = "# <<<<<<<<<<<<<<"
-    # Each block names the marked line's number and shows it with context,
-    # one " * "-prefixed line each.
-    blocks = re.findall(
-        r'/\* "pcpkit/_core_c\.pyx":(\d+)\n(.*?)\n\*/', GENERATED_C.read_text(), re.S
-    )
-    assert blocks, "no embedded _core_c.pyx source in _core_c.c"
-    stale = set()
-    for lineno, body in blocks:
-        lines = body.split("\n")
-        (at,) = [k for k, line in enumerate(lines) if line.endswith(marker)]
-        for k, line in enumerate(lines):
-            n = int(lineno) - at + k
-            shown = line[3:].removesuffix(marker).rstrip()
-            if n >= len(pyx) or pyx[n].rstrip() != shown:
-                stale.add(f"_core_c.pyx:{n}: {shown!r}")
-    assert not stale, "_core_c.c is stale; regenerate it with cython:\n" + "\n".join(
-        sorted(stale)
-    )
+def test_backend_name_is_numpy():
+    assert backend.backend_name() == "numpy"
+    assert backend._HAVE_COMPILED is False
+    assert isinstance(Tensor(np.eye(2))._kernel, NumpyKernel)
 
 
-@pytest.mark.parametrize("order,dim", [(2, 2), (3, 2), (4, 3), (5, 2), (6, 2)])
-def test_apply_agreement(compiled_backend, order, dim):
+@pytest.mark.parametrize(
+    "order,dim", [(2, 2), (3, 2), (4, 3), (5, 2), (6, 2), (1, 3), (13, 1)]
+)
+def test_apply_agreement(order, dim):
     rng = np.random.default_rng(order * 10 + dim)
     coeffs = rng.normal(size=(dim,) * order)
     X = rng.normal(size=(16, dim))
-    a = compiled_backend.CompiledKernel(coeffs).apply(X)
-    b = NumpyKernel(coeffs).apply(X)
-    scale = max(1.0, np.abs(b).max())
-    assert np.abs(a - b).max() <= 1e-12 * scale
+    _assert_close(NumpyKernel(coeffs).apply(X), reference_apply(coeffs, X))
 
 
-@pytest.mark.parametrize("order,dim", [(2, 3), (3, 3), (4, 2), (5, 3)])
-def test_jacobian_agreement(compiled_backend, order, dim):
+@pytest.mark.parametrize(
+    "order,dim", [(2, 3), (3, 3), (4, 2), (5, 3), (1, 2), (13, 1)]
+)
+def test_jacobian_agreement(order, dim):
     rng = np.random.default_rng(order * 100 + dim)
     coeffs = rng.normal(size=(dim,) * order)
     X = rng.normal(size=(8, dim))
-    a = compiled_backend.CompiledKernel(coeffs).jacobian(X)
-    b = NumpyKernel(coeffs).jacobian(X)
-    scale = max(1.0, np.abs(b).max())
-    assert np.abs(a - b).max() <= 1e-12 * scale
-
-
-def test_make_kernel_falls_back_above_max_order(compiled_backend):
-    max_order = compiled_backend._core_c.MAX_ORDER
-    assert isinstance(compiled_backend.make_kernel(np.zeros((1,) * max_order)),
-                      compiled_backend.CompiledKernel)
-    big = np.zeros((1,) * (max_order + 1))
-    k = compiled_backend.make_kernel(big)
-    assert isinstance(k, NumpyKernel)
-
-
-def test_pure_python_env_switch():
-    code = (
-        "from pcpkit.backend import backend_name; "
-        "print(backend_name())"
-    )
-    env = dict(os.environ, PCPKIT_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
+    _assert_close(NumpyKernel(coeffs).jacobian(X), reference_jacobian(coeffs, X))
 
 
 def test_solver_runs_on_pure_backend():
-    code = (
-        "import numpy as np\n"
-        "from pcpkit.backend import backend_name\n"
-        "from pcpkit.solver import solve\n"
-        "from pcpkit.tensor_core import PcpInstance, Tensor\n"
-        "assert backend_name() == 'numpy'\n"
-        "c = np.zeros((2, 2, 2, 2)); c[0, 0, 0, 0] = 1; c[1, 1, 1, 1] = 1\n"
-        "rep = solve(PcpInstance(Tensor(c), np.array([-1.0, -1.0])))\n"
-        "assert rep.status == 'solved'\n"
-        "assert np.abs(rep.solutions[0] - 1.0).max() < 1e-9\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, PCPKIT_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    c = np.zeros((2, 2, 2, 2))
+    c[0, 0, 0, 0] = 1
+    c[1, 1, 1, 1] = 1
+    rep = solve(PcpInstance(Tensor(c), np.array([-1.0, -1.0])))
+    assert rep.status == "solved"
+    assert rep.diagnostics["backend"] == "numpy"
+    assert np.abs(rep.solutions[0] - 1.0).max() < 1e-9

@@ -174,6 +174,24 @@ def test_certify_unsolvable_negative_control():
     assert not cert.certified
 
 
+def test_certify_unsolvable_blocks_match_one_batch():
+    # 135^2 = 18225 grid points: four row blocks and a partial one
+    f = PolynomialMap([skew_scaled(), Tensor(-2.0 * np.sqrt(2.0) * np.eye(2))])
+    inst = PcpInstance(f, np.array([2.0, -2.0]))
+    box = [(0.0, 2.0), (0.0, 2.0)]
+    cert = certify_unsolvable(inst, box, step=0.015)
+    assert cert.grid_points > 3 * solver_module._KERNEL_ROWS
+
+    axes = [np.linspace(lo, hi, 135) for lo, hi in box]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    res = np.abs(np.minimum(grid, f.eval_batch(grid) + inst.q)).max(axis=1)
+    b = int(np.argmin(res))
+    assert cert.grid_points == len(grid)
+    assert cert.min_residual == res[b]
+    assert np.array_equal(cert.argmin, grid[b])
+    assert cert.status == ("no-solution-certified" if res[b] > cert.threshold else "inconclusive")
+
+
 def test_boundedness_probe_on_cube():
     K = [np.array(v) for v in ([0.5, 0.5], [-1.0, 2.0], [-2.0, -2.0], [1.0, -1.0])]
     b = boundedness_probe(diag_cube(), K)
