@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InvalidInputError
 from .solver import (
     SolveConfig,
@@ -43,6 +44,8 @@ __all__ = [
     "p_property_check",
     "sol_cone_sample",
     "dual_interior_test",
+    "PROPERTIES",
+    "property_check",
 ]
 
 
@@ -86,12 +89,15 @@ def _vec(x) -> list[float]:
     return [float(v) for v in np.asarray(x)]
 
 
-def _as_tensor(A) -> Tensor:
+def _as_tensor(A, prop: str) -> Tensor:
     if isinstance(A, Tensor):
         return A
     if isinstance(A, PolynomialMap):
         if not A.is_homogeneous():
-            raise InvalidInputError("coefficient-level checks need a single tensor")
+            raise InvalidInputError(
+                f"{prop} is a coefficient check; it needs a single tensor, "
+                f"not a map with terms of orders {sorted(A.terms)}"
+            )
         return A.leading
     return Tensor(A)
 
@@ -363,7 +369,7 @@ def _diag_index(n: int, order: int):
 
 def is_Z_tensor(A) -> ClassVerdict:
     """All off-diagonal entries nonpositive (exact coefficient scan)."""
-    T = _as_tensor(A)
+    T = _as_tensor(A, "z")
     C = np.array(T.coeffs)
     C[_diag_index(T.dim, T.order)] = -np.inf
     worst = float(C.max())
@@ -381,7 +387,7 @@ def is_Z_tensor(A) -> ClassVerdict:
 
 def is_nonneg_pos_diag(A) -> ClassVerdict:
     """All entries nonnegative with strictly positive diagonal (exact)."""
-    T = _as_tensor(A)
+    T = _as_tensor(A, "nonneg-pos-diag")
     C = T.coeffs
     diag = C[_diag_index(T.dim, T.order)]
     if float(C.min()) >= 0.0 and float(diag.min()) > 0.0:
@@ -410,7 +416,7 @@ def is_strong_M(A, restarts: int = 50, seed: int = 0) -> ClassVerdict:
     The certificate d is searched by projected subgradient ascent of
     min_i f_inf(d)_i over the simplex; a found d is an exact certificate.
     """
-    T = _as_tensor(A)
+    T = _as_tensor(A, "strong-m")
     z = is_Z_tensor(T)
     if not z.holds:
         return ClassVerdict(
@@ -560,7 +566,7 @@ def strong_q_probe(
     certified non-existence is a failure witness; otherwise the verdict is
     capped at holds-up-to-sampling, with unresolved trials counted openly.
     """
-    T = _as_tensor(A)
+    T = _as_tensor(A, "strong-q")
     n, m = T.dim, T.order
     if m < 3:
         raise InvalidInputError("strong-Q probe needs a tensor of order >= 3")
@@ -748,17 +754,48 @@ def sol_cone_sample(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig())
     )
 
 
-def dual_interior_test(q, S: ConeSample, delta: float = 1e-6) -> str:
+def dual_interior_test(q, S: ConeSample, tols: Tolerances = DEFAULT_TOLERANCES) -> str:
     """Position of q relative to the dual cone S*: "interior", "boundary",
-    or "outside". An empty generator list means S = {0}, whose dual is the
+    or "outside", with |<q, g>| <= tols.dual_strict * ||q|| counting as on
+    the boundary. An empty generator list means S = {0}, whose dual is the
     whole space."""
     q = np.asarray(q, dtype=np.float64)
     if not S.generators:
         return "interior"
-    scale = delta * float(np.linalg.norm(q))
+    scale = tols.dual_strict * float(np.linalg.norm(q))
     vals = [float(q @ g) for g in S.generators]
     if any(v < -scale for v in vals):
         return "outside"
     if any(abs(v) <= scale for v in vals):
         return "boundary"
     return "interior"
+
+
+# --- property table ---------------------------------------------------------
+
+# Each property name and its check of a map F. The coefficient checks (z,
+# nonneg-pos-diag, strong-m) and the strong-Q probe take F's single tensor
+# and raise InvalidInputError when F has more than one term.
+_CHECKS = {
+    "r0": lambda F, cfg: is_R0(F, seed=cfg.seed, cfg=cfg),
+    "r": lambda F, cfg: is_R(F, seed=cfg.seed, cfg=cfg),
+    "copositive": lambda F, cfg: is_copositive(F, seed=cfg.seed, cfg=cfg),
+    "strictly-copositive": lambda F, cfg: is_copositive(F, strict=True, seed=cfg.seed, cfg=cfg),
+    "z": lambda F, cfg: is_Z_tensor(F),
+    "strong-m": lambda F, cfg: is_strong_M(F, seed=cfg.seed),
+    "nonneg-pos-diag": lambda F, cfg: is_nonneg_pos_diag(F),
+    "gus": lambda F, cfg: gus_probe(F, seed=cfg.seed, cfg=cfg),
+    "strong-q": lambda F, cfg: strong_q_probe(F, seed=cfg.seed, cfg=cfg),
+    "p": lambda F, cfg: p_property_check(F, seed=cfg.seed, cfg=cfg),
+}
+PROPERTIES = tuple(_CHECKS)
+
+
+def property_check(name: str):
+    """The check of a named property, called as check(F, cfg) with a map or
+    tensor F and a SolveConfig whose seed it uses; returns a ClassVerdict."""
+    if name not in _CHECKS:
+        raise InvalidInputError(
+            f"unknown property {name!r}; choose from {', '.join(PROPERTIES)}"
+        )
+    return _CHECKS[name]

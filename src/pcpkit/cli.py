@@ -18,15 +18,12 @@ import time
 import numpy as np
 
 from .classify import (
+    PROPERTIES,
     dual_interior_test,
-    gus_probe,
     is_copositive,
-    is_nonneg_pos_diag,
     is_R,
     is_R0,
-    is_strong_M,
-    is_Z_tensor,
-    p_property_check,
+    property_check,
     sol_cone_sample,
     strong_q_probe,
 )
@@ -54,14 +51,14 @@ from .solver import (
 from .tensor_core import (
     PcpInstance,
     PolynomialMap,
-    Tensor,
+    _float_array,
+    _read_json,
     instance_to_json,
     leading_term,
     load_instance,
     load_map,
     load_tensor,
     map_to_json,
-    save_tensor,
     tensor_to_json,
 )
 
@@ -71,96 +68,40 @@ __all__ = ["main", "ScenarioReport", "run_scenario", "SCENARIOS"]
 # --- plumbing ----------------------------------------------------------------
 
 
-def _sanitize_number_text(text: str) -> str:
+def _json_arg(text: str, flag: str):
+    """JSON value of an inline "[...]" argument or of the file it names."""
     # tolerate the unicode minus that copy-paste loves to introduce
-    return text.replace("−", "-")
-
-
-def _vector_from_arg(text: str) -> np.ndarray:
-    text = _sanitize_number_text(text.strip())
+    text = text.strip().replace("−", "-")
     if text.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"--q: invalid JSON ({exc})") from exc
-    else:
-        with open(text) as fh:
-            data = json.load(fh)
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError("--q must be a flat vector")
-    return arr
-
-
-def _matrix_arg(text: str) -> np.ndarray:
-    """Square matrix from inline JSON or a JSON file path."""
-    text = _sanitize_number_text(text.strip())
-    if text.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"--matrix: invalid JSON ({exc})") from exc
-    else:
-        with open(text) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{text}: invalid JSON ({exc})") from exc
-    if isinstance(data, dict) and "matrix" in data:
-        data = data["matrix"]
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError("--matrix: expected a square matrix")
-    return arr
-
-
-_CONFIG_FIELDS = {
-    "seed",
-    "multistart",
-    "search_radius",
-    "newton_max_iters",
-    "armijo_factor",
-    "max_halvings",
-    "grid_per_axis",
-    "pattern_dim_cap",
-    "confirm_grid",
-}
+        return _read_json(flag, text)
+    return _read_json(text)
 
 
 def _build_config(args) -> SolveConfig:
     kw = {}
-    tol_kw = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(
-                    f"{args.config}: invalid JSON ({exc})"
-                ) from exc
+        data = _read_json(args.config)
         if not isinstance(data, dict):
             raise InvalidInputError(f"{args.config}: expected an object")
+        fields = {f.name for f in dataclasses.fields(SolveConfig)}
         for key, val in data.items():
+            if key not in fields:
+                raise InvalidInputError(f"{args.config}: unknown field {key!r}")
             if key == "tolerances":
                 if not isinstance(val, dict):
                     raise InvalidInputError(
                         f"{args.config}: tolerances must be an object"
                     )
-                tol_kw.update(val)
-            elif key in _CONFIG_FIELDS:
-                kw[key] = val
-            else:
-                raise InvalidInputError(f"{args.config}: unknown field {key!r}")
+                try:
+                    val = DEFAULT_TOLERANCES.override(**val)
+                except TypeError as exc:
+                    raise InvalidInputError(f"{args.config}: tolerances: {exc}") from exc
+            kw[key] = val
     if getattr(args, "seed", None) is not None:
         kw["seed"] = args.seed
     if getattr(args, "radius", None) is not None:
         kw["search_radius"] = args.radius
-    try:
-        if tol_kw:
-            kw["tolerances"] = DEFAULT_TOLERANCES.override(**tol_kw)
-        return SolveConfig(**kw)
-    except TypeError as exc:
-        raise InvalidInputError(f"bad configuration: {exc}") from exc
+    return SolveConfig(**kw)
 
 
 def _instance_from_args(args, cfg: SolveConfig) -> PcpInstance:
@@ -173,7 +114,9 @@ def _instance_from_args(args, cfg: SolveConfig) -> PcpInstance:
         return load_instance(args.instance)
     if getattr(args, "q", None) is None:
         raise InvalidInputError("--q is required with --tensor/--map")
-    q = _vector_from_arg(args.q)
+    q = _float_array(_json_arg(args.q, "--q"), "--q")
+    if q.ndim != 1:
+        raise InvalidInputError("--q must be a flat vector")
     if args.tensor:
         f = PolynomialMap([load_tensor(args.tensor)])
     else:
@@ -300,7 +243,7 @@ def _scenario_example2(cfg: SolveConfig) -> list[dict]:
         _chk(
             "q=(2,-2) in dual interior",
             "interior",
-            dual_interior_test(np.array([2.0, -2.0]), S),
+            dual_interior_test(np.array([2.0, -2.0]), S, cfg.tolerances),
             "reference",
         )
     )
@@ -470,7 +413,7 @@ def _scenario_copositive_s(cfg: SolveConfig) -> list[dict]:
         np.array([3.0, -0.1]),
         np.array([0.5, 2.0]),
     ):
-        verdict = dual_interior_test(q, S)
+        verdict = dual_interior_test(q, S, cfg.tolerances)
         rep = solve(PcpInstance(PolynomialMap([lead]), q), cfg)
         good = (
             verdict == "interior"
@@ -553,67 +496,20 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_PROPERTIES = (
-    "r0",
-    "r",
-    "copositive",
-    "strictly-copositive",
-    "z",
-    "strong-m",
-    "nonneg-pos-diag",
-    "gus",
-    "strong-q",
-    "p",
-)
-
-
 def _cmd_classify(args) -> int:
     cfg = _build_config(args)
     given = [to for to in ("tensor", "map") if getattr(args, to, None)]
     if len(given) != 1:
         raise InvalidInputError("give exactly one of --tensor, --map")
     if args.tensor:
-        T = load_tensor(args.tensor)
-        target = PolynomialMap([T])
+        target = PolynomialMap([load_tensor(args.tensor)])
     else:
         target, const = load_map(args.map)
         if np.abs(const).max() > 0:
             raise InvalidInputError("classification needs f(0)=0; drop the constant")
-        T = target.leading if target.is_homogeneous() else None
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
-    verdicts = []
-    for prop in props:
-        if prop not in _PROPERTIES:
-            raise InvalidInputError(
-                f"unknown property {prop!r}; choose from {', '.join(_PROPERTIES)}"
-            )
-        if prop in ("z", "strong-m", "nonneg-pos-diag") and T is None:
-            raise InvalidInputError(
-                f"{prop} is a coefficient check; it needs a single tensor"
-            )
-        if prop == "r0":
-            v = is_R0(target, seed=cfg.seed, cfg=cfg)
-        elif prop == "r":
-            v = is_R(target, seed=cfg.seed, cfg=cfg)
-        elif prop == "copositive":
-            v = is_copositive(target, seed=cfg.seed, cfg=cfg)
-        elif prop == "strictly-copositive":
-            v = is_copositive(target, strict=True, seed=cfg.seed, cfg=cfg)
-        elif prop == "z":
-            v = is_Z_tensor(T)
-        elif prop == "strong-m":
-            v = is_strong_M(T, seed=cfg.seed)
-        elif prop == "nonneg-pos-diag":
-            v = is_nonneg_pos_diag(T)
-        elif prop == "gus":
-            v = gus_probe(target, seed=cfg.seed, cfg=cfg)
-        elif prop == "strong-q":
-            if T is None:
-                raise InvalidInputError("strong-q probes a tensor; give --tensor")
-            v = strong_q_probe(T, seed=cfg.seed, cfg=cfg)
-        else:
-            v = p_property_check(target, seed=cfg.seed, cfg=cfg)
-        verdicts.append(v)
+    checks = [property_check(p) for p in props]
+    verdicts = [check(target, cfg) for check in checks]
     lines = []
     for v in verdicts:
         lines.append(f"{v.property}: {v.verdict}")
@@ -655,13 +551,16 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.what in ("matrix-power", "norm-scaled"):
+        data = _json_arg(args.matrix, "--matrix")
+        if isinstance(data, dict) and "matrix" in data:
+            data = data["matrix"]
+        A = _float_array(data, "--matrix")
     if args.what == "matrix-power":
-        A = _matrix_arg(args.matrix)
         T = matrix_power_tensor(A, args.k)
         obj = tensor_to_json(T)
         desc = f"order-{T.order} tensor (dim {T.dim})"
     elif args.what == "norm-scaled":
-        A = _matrix_arg(args.matrix)
         f = norm_scaled_power_map(A, args.k, args.r)
         obj = map_to_json(f)
         desc = f"homogeneous map of order {f.order} (dim {f.dim})"
@@ -780,7 +679,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", default=None)
     p.add_argument("--map", default=None)
     p.add_argument("--properties", required=True,
-                   help=f"comma list from: {', '.join(_PROPERTIES)}")
+                   help=f"comma list from: {', '.join(PROPERTIES)}")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("degree", help="local degree of the min map at 0")

@@ -7,7 +7,11 @@ chasing scattered module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
+
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,23 @@ class Tolerances:
     dual_strict: float = 1e-6
     singular_det: float = 1e-12
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not is_positive_real(v):
+                raise InvalidInputError(
+                    f"tolerance {f.name} must be a finite number > 0, got {v!r}"
+                )
+
     def override(self, **kwargs) -> "Tolerances":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
+
+
+def is_positive_real(v) -> bool:
+    """True for a finite real number > 0 (bools excluded)."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
 
 
 DEFAULT_TOLERANCES = Tolerances()

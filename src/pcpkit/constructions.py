@@ -368,18 +368,13 @@ def example_catalog() -> list[CatalogEntry]:
 
 def check_catalog_entry(entry: CatalogEntry, cfg=None) -> list[dict]:
     """Re-run every expected verdict of a catalog entry; returns one record
-    per expectation with observed value and pass flag."""
-    from .classify import (
-        gus_probe,
-        is_copositive,
-        is_nonneg_pos_diag,
-        is_R,
-        is_R0,
-        is_strong_M,
-        is_Z_tensor,
-        p_property_check,
-        strong_q_probe,
-    )
+    per expectation with observed value and pass flag.
+
+    "degree" is the local degree of the entry's tensor; "X-leading" is the
+    classify property X of the leading term of the entry's map, any other
+    name that property of the map itself.
+    """
+    from .classify import property_check
     from .degree import tensor_degree
     from .solver import SolveConfig
     from .tensor_core import leading_term
@@ -388,37 +383,11 @@ def check_catalog_entry(entry: CatalogEntry, cfg=None) -> list[dict]:
     records = []
     for prop, expected, tag in entry.expected:
         if prop == "degree":
-            est = tensor_degree(entry.tensor, seed=cfg.seed, cfg=cfg)
-            observed = str(est.value)
+            observed = str(tensor_degree(entry.tensor, seed=cfg.seed, cfg=cfg).value)
         else:
-            target = entry.map
-            if prop == "r0":
-                v = is_R0(target, seed=cfg.seed, cfg=cfg)
-            elif prop == "r0-leading":
-                v = is_R0(leading_term(target), seed=cfg.seed, cfg=cfg)
-            elif prop == "r":
-                v = is_R(target, seed=cfg.seed, cfg=cfg)
-            elif prop == "copositive":
-                v = is_copositive(target, seed=cfg.seed, cfg=cfg)
-            elif prop == "copositive-leading":
-                v = is_copositive(leading_term(target), seed=cfg.seed, cfg=cfg)
-            elif prop == "strictly-copositive":
-                v = is_copositive(target, strict=True, seed=cfg.seed, cfg=cfg)
-            elif prop == "z":
-                v = is_Z_tensor(entry.tensor)
-            elif prop == "nonneg-pos-diag":
-                v = is_nonneg_pos_diag(entry.tensor)
-            elif prop == "strong-m":
-                v = is_strong_M(entry.tensor, seed=cfg.seed)
-            elif prop == "gus":
-                v = gus_probe(target, seed=cfg.seed, cfg=cfg)
-            elif prop == "strong-q":
-                v = strong_q_probe(entry.tensor, seed=cfg.seed, cfg=cfg)
-            elif prop == "p":
-                v = p_property_check(target, seed=cfg.seed, cfg=cfg)
-            else:
-                raise InvalidInputError(f"unknown catalog property {prop!r}")
-            observed = v.verdict
+            check = property_check(prop.removesuffix("-leading"))
+            target = leading_term(entry.map) if prop.endswith("-leading") else entry.map
+            observed = check(target, cfg).verdict
         records.append(
             {
                 "property": prop,

@@ -416,12 +416,6 @@ def _box_boundary_samples(n: int, radius: float, rng, count: int = 512) -> np.nd
     return radius * pts
 
 
-def _roots_at_t(fmap: PolynomialMap, q: np.ndarray, cfg: SolveConfig):
-    rep = enumerate_solutions(PcpInstance(fmap, q), cfg)
-    norms = [float(np.abs(x).max()) for x in rep.solutions]
-    return rep, max(norms, default=0.0)
-
-
 def homotopy_invariance_check(
     f: MapLike,
     mode: str,
@@ -459,6 +453,7 @@ def homotopy_invariance_check(
         def stage(t):
             return _scaled_map(lead, lower, t), t * q
 
+        pre = None
     elif mode == "karamardian":
         if d is None:
             raise InvalidInputError("karamardian mode needs a positive vector d")
@@ -495,8 +490,11 @@ def homotopy_invariance_check(
         max_norms = []
         boundary = False
         for t in t_grid:
-            fmap_t, q_t = stage(float(t))
-            _, mx = _roots_at_t(fmap_t, q_t, sweep_cfg)
+            if pre is not None and _grow == 0 and t == 1.0:
+                rep = pre  # the precondition already enumerated t = 1 at this radius
+            else:
+                rep = enumerate_solutions(PcpInstance(*stage(float(t))), sweep_cfg)
+            mx = max((float(np.abs(x).max()) for x in rep.solutions), default=0.0)
             max_norms.append(mx)
             if mx > 0.9 * sweep_cfg.search_radius:
                 boundary = True

@@ -21,13 +21,14 @@ non-existence on a compact box; it reports "inconclusive" rather than guess.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .backend import backend_name
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, is_positive_real
 from .errors import InvalidInputError
 from .tensor_core import MapLike, PcpInstance, as_map, leading_term
 
@@ -47,6 +48,17 @@ __all__ = [
 ]
 
 
+# Least value of each integer field of SolveConfig.
+_COUNT_MINIMA = {
+    "seed": 0,
+    "multistart": 0,
+    "newton_max_iters": 0,
+    "max_halvings": 0,
+    "grid_per_axis": 1,
+    "pattern_dim_cap": 0,
+}
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Knobs for the Newton solvers. seed fixes every random draw."""
@@ -63,10 +75,24 @@ class SolveConfig:
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        if self.multistart < 0 or self.search_radius <= 0:
-            raise InvalidInputError("multistart must be >= 0 and search_radius > 0")
-        if not (0 < self.armijo_factor < 1):
-            raise InvalidInputError("armijo_factor must be in (0,1)")
+        for name, least in _COUNT_MINIMA.items():
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
+                raise InvalidInputError(f"{name} must be an integer >= {least}, got {v!r}")
+        if not is_positive_real(self.search_radius):
+            raise InvalidInputError(
+                f"search_radius must be a finite number > 0, got {self.search_radius!r}"
+            )
+        if not (is_positive_real(self.armijo_factor) and self.armijo_factor < 1):
+            raise InvalidInputError(
+                f"armijo_factor must be in (0,1), got {self.armijo_factor!r}"
+            )
+        if not isinstance(self.confirm_grid, bool):
+            raise InvalidInputError(
+                f"confirm_grid must be true or false, got {self.confirm_grid!r}"
+            )
+        if not isinstance(self.tolerances, Tolerances):
+            raise InvalidInputError("tolerances must be a Tolerances record")
 
     def with_radius(self, radius: float) -> "SolveConfig":
         return replace(self, search_radius=radius)

@@ -396,7 +396,7 @@ def instance_from_json(obj: dict, where: str = "instance") -> PcpInstance:
     if "map" not in obj or "q" not in obj:
         raise InvalidInputError(f"{where}: needs map and q fields")
     f, const = map_from_json(obj["map"], where=f"{where}: map")
-    q = np.asarray(obj["q"], dtype=np.float64)
+    q = _float_array(obj["q"], f"{where}: q")
     if q.shape != (f.dim,):
         raise InvalidInputError(f"{where}: q must have length {f.dim}")
     return PcpInstance(f, q + const)
@@ -410,14 +410,27 @@ def instance_to_json(inst: PcpInstance) -> dict:
     }
 
 
-def _read_json(path: str):
+def _read_json(path: str, text: str | None = None):
+    """JSON value of the file at path, or of text (then path only names it
+    in errors); unreadable files and invalid JSON raise InvalidInputError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"{path}: {exc.strerror or exc}") from exc
+        if text is None:
+            with open(path) as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _float_array(data, where: str) -> np.ndarray:
+    """float64 array of JSON data; non-numeric or ragged data raises
+    InvalidInputError."""
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{where}: expected an array of numbers ({exc})") from exc
 
 
 def load_tensor(path: str) -> Tensor:

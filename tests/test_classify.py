@@ -149,3 +149,30 @@ def test_strong_q_witness_path():
     v = strong_q_probe(LEAD2, witnesses=[(inst, [(0.0, 1.1), (0.0, 1.1)], 1e-3)])
     assert v.verdict == "fails"
     assert v.witness["certificate"]["status"] == "no-solution-certified"
+
+
+def test_dual_strict_tolerance_reaches_the_dual_test():
+    from pcpkit.classify import ConeSample
+    from pcpkit.config import Tolerances
+
+    S = ConeSample(generators=[np.array([1.0, 0.0])])
+    q = np.array([1e-3, 1.0])
+    assert dual_interior_test(q, S) == "interior"
+    assert dual_interior_test(q, S, Tolerances(dual_strict=1e-2)) == "boundary"
+
+
+def test_property_table_refuses_coefficient_checks_on_mixed_maps():
+    import pytest
+
+    from pcpkit.classify import PROPERTIES, property_check
+    from pcpkit.errors import InvalidInputError
+    from pcpkit.solver import SolveConfig
+
+    assert PROPERTIES == ("r0", "r", "copositive", "strictly-copositive", "z", "strong-m",
+                          "nonneg-pos-diag", "gus", "strong-q", "p")
+    for name in ("z", "strong-m", "nonneg-pos-diag", "strong-q"):
+        with pytest.raises(InvalidInputError, match="coefficient check"):
+            property_check(name)(F2, SolveConfig())
+    assert property_check("z")(PolynomialMap([CUBE]), SolveConfig()).verdict == "holds"
+    with pytest.raises(InvalidInputError, match="unknown property"):
+        property_check("z-leading")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -259,3 +260,61 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _malformed_argv(case, tmp_path):
+    sq = tmp_path / "sq.json"
+    sq.write_text(json.dumps(tensor_to_json(Tensor(np.eye(2)))))
+    if case == "truncated-q-file":
+        (tmp_path / "q.json").write_text("[1, ")
+        return ["solve", "--tensor", str(sq), "--q", str(tmp_path / "q.json")]
+    if case == "string-q-file":
+        (tmp_path / "q.json").write_text('["a", "b"]')
+        return ["solve", "--tensor", str(sq), "--q", str(tmp_path / "q.json")]
+    if case == "string-q-instance":
+        from pcpkit.tensor_core import PcpInstance
+
+        obj = instance_to_json(PcpInstance(Tensor(np.eye(2)), np.ones(2)))
+        obj["q"] = ["a", 1]
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        return ["solve", "--instance", str(tmp_path / "inst.json")]
+    if case == "ragged-matrix":
+        return ["construct", "matrix-power", "--matrix", "[[1,2],[3]]", "--k", "3"]
+    assert case == "negative-halvings-config"
+    (tmp_path / "cfg.json").write_text(json.dumps({"max_halvings": -1}))
+    return ["--config", str(tmp_path / "cfg.json"), "solve", "--tensor", str(sq), "--q", "[1, 1]"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["truncated-q-file", "string-q-file", "string-q-instance", "ragged-matrix",
+     "negative-halvings-config"],
+)
+def test_malformed_input_exits_two(case, tmp_path, capsys):
+    rc = cli.main(_malformed_argv(case, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_classify_checks_every_name_before_running(tmp_path, capsys, monkeypatch):
+    from pcpkit import classify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran before the names were validated")
+
+    monkeypatch.setattr(classify, "is_R0", never)  # the first step of is_R
+    tp = _diag_cube_file(tmp_path)
+    rc = cli.main(["classify", "--tensor", tp, "--properties", "r,frobnitz"])
+    assert rc == 2
+    assert "frobnitz" in capsys.readouterr().err
+
+
+def test_classify_properties_help_lists_the_table():
+    from pcpkit.classify import PROPERTIES
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    opt = next(a for a in sub.choices["classify"]._actions if a.dest == "properties")
+    assert opt.help.split(": ", 1)[1].split(", ") == list(PROPERTIES)

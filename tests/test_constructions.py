@@ -129,3 +129,21 @@ def test_catalog_r_matrix_power_entry():
     by = {e.name: e for e in example_catalog()}
     recs = check_catalog_entry(by["r-matrix-power-06"])
     assert all(r["ok"] for r in recs)
+
+
+def test_catalog_properties_come_from_the_classify_table():
+    from pcpkit.classify import PROPERTIES
+
+    named = {prop for e in example_catalog() for prop, _, _ in e.expected}
+    assert named
+    for prop in named:
+        assert prop == "degree" or prop.removesuffix("-leading") in PROPERTIES, prop
+
+
+def test_catalog_coefficient_check_on_mixed_map_is_refused():
+    from pcpkit.constructions import CatalogEntry
+
+    entry = CatalogEntry(name="mixed", kind="instance", payload=example2_instance(),
+                         expected=[("z", "holds", "direct")])
+    with pytest.raises(InvalidInputError, match="coefficient check"):
+        check_catalog_entry(entry)

@@ -148,3 +148,18 @@ def test_degree_kernel_call_budget(monkeypatch):
     A = 2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
     assert tensor_degree(matrix_power_tensor(A, 3)).value == 1
     assert calls[0] <= 274
+
+
+def test_karamardian_homotopy_enumerates_its_end_point_once(monkeypatch):
+    # the precondition's t = 1 report serves the first sweep: 1 + 10 calls
+    enumerate_solutions = degree_module.enumerate_solutions
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return enumerate_solutions(*args, **kwargs)
+
+    monkeypatch.setattr(degree_module, "enumerate_solutions", counting)
+    h = homotopy_invariance_check(diag_cube(), "karamardian", d=np.ones(2))
+    assert h.verified
+    assert len(calls) == 11

@@ -495,3 +495,37 @@ def test_all_pieces_in_one_call_match_piece_by_piece(monkeypatch):
         assert [s for _, s, _ in got] == [s for _, s, _ in want]
         for (x, _, _), (y, _, _) in zip(got, want):
             assert np.abs(x - y).max() <= 1e-12 * (1.0 + np.abs(y).max())
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf"), "x", True, None])
+def test_tolerances_must_be_finite_positive_numbers(value):
+    with pytest.raises(InvalidInputError):
+        Tolerances().override(feasibility=value)
+    with pytest.raises(InvalidInputError):
+        Tolerances(dual_strict=value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("multistart", 2.5),
+        ("seed", "1"),
+        ("newton_max_iters", True),
+        ("seed", -1),
+        ("max_halvings", -1),
+        ("grid_per_axis", 0),
+        ("confirm_grid", "no"),
+        ("confirm_grid", 1),
+        ("search_radius", float("nan")),
+        ("armijo_factor", 1.0),
+    ],
+)
+def test_solve_config_rejects_bad_values(field, value):
+    with pytest.raises(InvalidInputError):
+        SolveConfig(**{field: value})
+
+
+def test_solve_config_accepts_its_edge_values():
+    cfg = SolveConfig(seed=np.int64(3), multistart=0, max_halvings=0, grid_per_axis=1,
+                      confirm_grid=False, tolerances=Tolerances(feasibility=1e-30))
+    assert cfg.max_halvings == 0 and cfg.grid_per_axis == 1
