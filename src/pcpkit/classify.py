@@ -597,8 +597,8 @@ def strong_q_probe(
         f = PolynomialMap([T] + lowers)
         inst = PcpInstance(f, q)
         # solutions of perturbed instances can sit far outside any fixed
-        # multistart radius, so a failed solve falls back to a wide
-        # enumeration whose algebraic candidates are radius-independent
+        # multistart radius, so a failed solve falls back to a pattern
+        # enumeration from a coarse grid on a wide box
         rep = solve(inst, cfg)
         found = rep.status == "solved"
         if not found and n <= cfg.pattern_dim_cap:

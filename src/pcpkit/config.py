@@ -20,8 +20,6 @@ class Tolerances:
 
     feasibility / complementarity: acceptance thresholds for verified
         solutions of a complementarity problem.
-    jacobian_fd: allowed deviation between analytic Jacobians and central
-        finite differences on unit-ball points.
     root: residual threshold below which a polished point counts as a root.
     dedupe: infinity-norm distance under which two solutions are merged.
     tie_margin: minimum slack between the two branches of the min map
@@ -35,7 +33,6 @@ class Tolerances:
 
     feasibility: float = 1e-8
     complementarity: float = 1e-8
-    jacobian_fd: float = 1e-5
     root: float = 1e-10
     dedupe: float = 1e-6
     tie_margin: float = 1e-6

@@ -275,17 +275,14 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, max_iters: int,
     return X, converged, rn, iters
 
 
-def _stack_pieces(p: np.ndarray, pieces: list[tuple], nodes: np.ndarray, extra=None):
+def _stack_pieces(p: np.ndarray, pieces: list[tuple], nodes: np.ndarray):
     """Full-row starts and branch masks of masked pieces for _newton_batch.
 
     Piece j takes the f-branch on the indices pieces[j]; its starts are the
-    grid nodes^|pieces[j]|, then the rows of extra[j], on those coordinates,
-    and p on the others. Returns (X0, beta, offsets); piece j owns rows
-    offsets[j]:offsets[j+1].
+    grid nodes^|pieces[j]| on those coordinates and p on the others.
+    Returns (X0, beta, offsets); piece j owns rows offsets[j]:offsets[j+1].
     """
     starts = [np.array(list(itertools.product(nodes, repeat=len(idx)))) for idx in pieces]
-    if extra is not None:
-        starts = [np.vstack([U, E]) if len(E) else U for U, E in zip(starts, extra)]
     offsets = np.cumsum([0] + [U.shape[0] for U in starts])
     X0 = np.repeat(p[None, :], offsets[-1], axis=0)
     beta = np.zeros(X0.shape, dtype=bool)
@@ -293,138 +290,6 @@ def _stack_pieces(p: np.ndarray, pieces: list[tuple], nodes: np.ndarray, extra=N
         X0[offsets[j] : offsets[j + 1], list(idx)] = U
         beta[offsets[j] : offsets[j + 1], list(idx)] = True
     return X0, beta, offsets
-
-
-def _pattern_poly_coeffs(f, q, alpha: tuple) -> list[np.ndarray]:
-    """Exact monomial coefficients of the pattern system, one array per
-    active component.
-
-    One active variable: c[k] is the coefficient of u^k. Two active
-    variables: C[p, r] is the coefficient of u1^p u2^r.
-    """
-    k = len(alpha)
-    deg = f.degree
-    out: list[np.ndarray] = []
-    for i in alpha:
-        c = np.zeros(deg + 1) if k == 1 else np.zeros((deg + 1, deg + 1))
-        c[(0,) * (1 if k == 1 else 2)] += q[i]
-        for order, t in f.terms.items():
-            sub = t.coeffs[i]
-            for pos in np.ndindex(*(k,) * (order - 1)):
-                v = sub[tuple(alpha[p] for p in pos)]
-                if v == 0.0:
-                    continue
-                if k == 1:
-                    c[order - 1] += v
-                else:
-                    p1 = sum(1 for p in pos if p == 0)
-                    c[p1, order - 1 - p1] += v
-        out.append(c)
-    return out
-
-
-def _trim_high(c: np.ndarray) -> np.ndarray:
-    """Drop leading coefficients that are zero relative to the array scale."""
-    m = float(np.abs(c).max())
-    if m == 0.0:
-        return c[:1]
-    keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= 1e-14 * m:
-        keep -= 1
-    return c[:keep]
-
-
-def _real_roots_1d(c: np.ndarray) -> list[float]:
-    """Real roots of sum_k c[k] u^k."""
-    co = _trim_high(np.asarray(c, dtype=np.complex128))
-    if co.size <= 1:
-        return []
-    roots = np.roots(co[::-1])
-    return [float(z.real) for z in roots if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
-
-
-def _poly2_degree1(C: np.ndarray) -> int:
-    """Degree in the first variable; -1 when the polynomial is zero."""
-    m = float(np.abs(C).max())
-    if m == 0.0:
-        return -1
-    rows = np.nonzero(np.abs(C).max(axis=1) > 1e-14 * m)[0]
-    return int(rows[-1]) if rows.size else -1
-
-def _poly2_total_degree(C: np.ndarray) -> int:
-    m = float(np.abs(C).max())
-    if m == 0.0:
-        return 0
-    best = 0
-    for p, r in zip(*np.nonzero(np.abs(C) > 1e-14 * m)):
-        best = max(best, int(p) + int(r))
-    return best
-
-
-def _slice_roots(C: np.ndarray, v: float) -> list[float]:
-    """Real u1 roots of the bivariate polynomial at u2 = v."""
-    powers = v ** np.arange(C.shape[1])
-    return _real_roots_1d(C @ powers)
-
-
-def _sylvester_det(C1: np.ndarray, C2: np.ndarray, m: int, d: int, z: complex) -> complex:
-    """Determinant of the Sylvester matrix in u1, with u2 evaluated at z.
-
-    m and d are the global u1-degrees of C1 and C2; they must not vary with
-    z or the sampled values stop being one polynomial in z.
-    """
-    pw = z ** np.arange(C1.shape[1])
-    a = (C1.astype(np.complex128) @ pw)[: m + 1]
-    b = (C2.astype(np.complex128) @ pw)[: d + 1]
-    S = np.zeros((m + d, m + d), dtype=np.complex128)
-    for i in range(d):
-        S[i, i : i + m + 1] = a[::-1]
-    for j in range(m):
-        S[d + j, j : j + d + 1] = b[::-1]
-    return complex(np.linalg.det(S))
-
-
-def _algebraic_candidates(f, q, alpha: tuple) -> np.ndarray:
-    """Candidate pattern roots from exact polynomial algebra.
-
-    Patterns with one active variable reduce to a univariate polynomial;
-    with two, a Sylvester resultant eliminates the first variable. The
-    returned points are Newton starts, not answers: the caller's polish,
-    sign, and feasibility filters decide what survives. Degenerate systems
-    (shared components, identically zero slices) yield no candidates and
-    leave the grid sweep in charge.
-    """
-    coeff = _pattern_poly_coeffs(f, q, alpha)
-    if len(alpha) == 1:
-        return np.array([[u] for u in _real_roots_1d(coeff[0])])
-    C1, C2 = coeff
-    d1, d2 = _poly2_degree1(C1), _poly2_degree1(C2)
-    if d1 < 0 or d2 < 0:
-        return np.empty((0, 2))
-    pairs: list[tuple[float, float]] = []
-    if d1 == 0 or d2 == 0:
-        # one equation is univariate in u2; substitute its roots into the other
-        flat, other = (C1, C2) if d1 == 0 else (C2, C1)
-        for v in _real_roots_1d(flat[0]):
-            for u in _slice_roots(other, v):
-                pairs.append((u, v))
-        return np.array(pairs) if pairs else np.empty((0, 2))
-    bound = _poly2_total_degree(C1) * _poly2_total_degree(C2)
-    if bound <= 0:
-        return np.empty((0, 2))
-    M = bound + 1
-    u2_cands: set[float] = set()
-    for sigma in (1.0, 64.0):
-        nodes = sigma * np.exp(2j * np.pi * np.arange(M) / M)
-        vals = np.array([_sylvester_det(C1, C2, d1, d2, z) for z in nodes])
-        if not np.isfinite(vals).all():
-            continue
-        ck = np.fft.fft(vals) / (M * sigma ** np.arange(M))
-        u2_cands.update(_real_roots_1d(ck.real))
-    for v in sorted(u2_cands):
-        for u in set(_slice_roots(C1, v)) | set(_slice_roots(C2, v)):
-            pairs.append((u, v))
-    return np.array(pairs) if pairs else np.empty((0, 2))
 
 
 def _float_noise_floor(f, q, X) -> np.ndarray:
@@ -576,20 +441,14 @@ def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
     """One enumeration sweep; returns (solutions, pattern diagnostics).
 
     Every piece with a nonempty f-branch set alpha runs in one engine call,
-    from a per_axis grid on [0, R]^|alpha| plus, for |alpha| <= 2, the
-    algebraic candidates; each piece's roots are read from its own rows.
+    from a per_axis grid on [0, R]^|alpha|; each piece's roots are read
+    from its own rows.
     """
     f, q, n = inst.map, inst.q, inst.dim
     tols = cfg.tolerances
     R = cfg.search_radius
     pieces = [a for size in range(1, n + 1) for a in itertools.combinations(range(n), size)]
-    extra = []
-    for alpha in pieces:
-        # exact roots of the pattern polynomials as extra starts; the usual
-        # polish and filters decide what survives
-        cand = _algebraic_candidates(f, q, alpha) if len(alpha) <= 2 else []
-        extra.append(cand[np.abs(cand).max(axis=1) <= 2.0 * R] if len(cand) else [])
-    X0, beta, offsets = _stack_pieces(np.zeros(n), pieces, np.linspace(0.0, R, per_axis), extra)
+    X0, beta, offsets = _stack_pieces(np.zeros(n), pieces, np.linspace(0.0, R, per_axis))
     X, converged, rn, _ = _newton_batch(
         f, q, X0, tol=max(1e-13, tols.root / 100.0), max_iters=cfg.newton_max_iters,
         armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings, box_cap=4.0 * R,
@@ -624,8 +483,6 @@ def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
         roots = _dedupe(roots, tols.dedupe)
         if roots:
             diag[key] = {"status": f"roots:{len(roots)}"}
-            if len(extra[j]):
-                diag[key]["algebraic_candidates"] = len(extra[j])
             found.extend(roots)
             continue
         entry = {"status": "inconsistent", "best_residual": float(rn[lo:hi].min())}

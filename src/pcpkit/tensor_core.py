@@ -33,6 +33,7 @@ y^[1/k] are the order-preserving bijections used throughout.
 from __future__ import annotations
 
 import json
+import numbers
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -305,15 +306,24 @@ def fd_jacobian(f: MapLike, x, step: float = 1e-6) -> np.ndarray:
 #                constants from the map are folded into q on load.
 
 
+def _json_int(v, where: str) -> int:
+    """v as an int when it is an integral JSON number (3 or 3.0); anything
+    else, 2.7, true or "3" included, raises InvalidInputError."""
+    integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise InvalidInputError(f"{where} must be an integer, got {v!r}")
+    return int(v)
+
+
 def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{where}: expected an object, got {type(obj).__name__}")
     try:
-        order = int(obj["order"])
-        dim = int(obj["dim"])
+        order = _json_int(obj["order"], f"{where}: order")
+        dim = _json_int(obj["dim"], f"{where}: dim")
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{where}: missing or malformed field ({exc})") from exc
+    except KeyError as exc:
+        raise InvalidInputError(f"{where}: missing field {exc}") from exc
     if order < 1:
         raise InvalidInputError(f"{where}: order must be >= 1, got {order}")
     if dim < 1:
@@ -329,10 +339,7 @@ def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
         idx = entry["idx"]
         if not isinstance(idx, list) or len(idx) != order:
             raise InvalidInputError(f"{loc}: idx must list {order} indices")
-        try:
-            idx = tuple(int(i) for i in idx)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"{loc}: non-integer index") from exc
+        idx = tuple(_json_int(i, f"{loc}: idx") for i in idx)
         if any(i < 1 or i > dim for i in idx):
             raise InvalidInputError(f"{loc}: index out of range 1..{dim}: {list(idx)}")
         if idx in seen:
@@ -363,10 +370,12 @@ def map_from_json(obj: dict, where: str = "map") -> tuple[PolynomialMap, np.ndar
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{where}: expected an object, got {type(obj).__name__}")
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], f"{where}: dim")
         terms = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{where}: missing or malformed field ({exc})") from exc
+    except KeyError as exc:
+        raise InvalidInputError(f"{where}: missing field {exc}") from exc
+    if dim < 1:
+        raise InvalidInputError(f"{where}: dim must be >= 1, got {dim}")
     if not isinstance(terms, list) or not terms:
         raise InvalidInputError(f"{where}: terms must be a non-empty list")
     const = np.zeros(dim)

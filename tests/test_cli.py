@@ -280,6 +280,14 @@ def _malformed_argv(case, tmp_path):
         return ["solve", "--instance", str(tmp_path / "inst.json")]
     if case == "ragged-matrix":
         return ["construct", "matrix-power", "--matrix", "[[1,2],[3]]", "--k", "3"]
+    if case == "fractional-order-tensor":
+        obj = tensor_to_json(Tensor(np.eye(2)))
+        obj["order"] = 2.7
+        (tmp_path / "t.json").write_text(json.dumps(obj))
+        return ["solve", "--tensor", str(tmp_path / "t.json"), "--q", "[1, 1]"]
+    if case == "jacobian-fd-config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"tolerances": {"jacobian_fd": 1e-5}}))
+        return ["--config", str(tmp_path / "cfg.json"), "solve", "--tensor", str(sq), "--q", "[1, 1]"]
     assert case == "negative-halvings-config"
     (tmp_path / "cfg.json").write_text(json.dumps({"max_halvings": -1}))
     return ["--config", str(tmp_path / "cfg.json"), "solve", "--tensor", str(sq), "--q", "[1, 1]"]
@@ -288,7 +296,7 @@ def _malformed_argv(case, tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["truncated-q-file", "string-q-file", "string-q-instance", "ragged-matrix",
-     "negative-halvings-config"],
+     "negative-halvings-config", "fractional-order-tensor", "jacobian-fd-config"],
 )
 def test_malformed_input_exits_two(case, tmp_path, capsys):
     rc = cli.main(_malformed_argv(case, tmp_path))

@@ -121,6 +121,43 @@ def test_enumerate_reports_inconsistent_patterns():
     assert rep.diagnostics["patterns"]["1,2"]["status"] == "inconsistent"
 
 
+def test_enumerate_one_dimensional_maps_match_exact_roots():
+    # in dimension 1 a map of order m is the polynomial sum_k c_k x^(k-1),
+    # k = 2..m, so the solutions are its real roots in (0, R], plus 0 when
+    # q >= 0; the roots come from numpy's companion-matrix solver
+    rng = np.random.default_rng(0)
+    R = 5.0
+    for t in range(100):
+        order = 2 + t % 5
+        c = rng.normal(size=order - 1)
+        q = rng.normal()
+        f = PolynomialMap([Tensor(np.full((1,) * k, ck)) for k, ck in zip(range(2, order + 1), c)])
+        roots = np.roots(np.r_[c[::-1], q])
+        exact = sorted(z.real for z in roots
+                       if abs(z.imag) <= 1e-8 * max(1.0, abs(z)) and 0.0 < z.real <= R)
+        exact = ([0.0] if q >= 0 else []) + exact
+        rep = enumerate_solutions(PcpInstance(f, np.array([q])), SolveConfig(search_radius=R))
+        got = sorted(float(x[0]) for x in rep.solutions)
+        assert len(got) == len(exact), (t, got, exact)
+        assert np.allclose(got, exact, rtol=1e-8, atol=1e-10), (t, got, exact)
+
+
+def test_reports_carry_the_fields_the_benchmark_reads():
+    # perfbench reads these from every passing op's report; a missing key
+    # fails the whole benchmark run
+    inst = PcpInstance(example1_tensor(), np.array([1.0, -1.0]))
+    d = solve(inst).diagnostics
+    for key in ("newton_starts", "newton_iterations", "newton_converged", "pattern_fallback"):
+        assert key in d
+    rep = enumerate_solutions(inst, SolveConfig(search_radius=3.0))
+    assert rep.completeness in ("certified-complete", "best-effort")
+    assert all("status" in p for p in rep.diagnostics["patterns"].values())
+    est = degree_module.tensor_degree(example1_tensor())
+    assert est.diagnostics["radius"] > 0 and isinstance(est.preimages, list)
+    cert = certify_unsolvable(inst, [(0.0, 1.0), (0.0, 1.0)], step=0.1)
+    assert cert.grid_points == 11 * 11
+
+
 def test_enumerate_respects_dimension_cap():
     c = np.zeros((5,) * 3)
     for i in range(5):
@@ -130,9 +167,8 @@ def test_enumerate_respects_dimension_cap():
 
 
 def test_solve_finds_far_out_solution():
-    # lower-order terms push the only solution out to norm ~84; the
-    # algebraic pattern candidates must reach it regardless of the
-    # multistart radius
+    # lower-order terms push the only solution out to norm ~84; pattern
+    # Newton must reach it from a coarse grid on a wide box
     C2 = np.array([[0.2569175957578167, 0.7908335512636762],
                    [-0.6600230970611745, -0.7003689082490758]])
     C3 = np.array([[[-0.7561955573293875, -0.8471219581635661],
@@ -384,9 +420,8 @@ def test_masked_pieces_match_their_own_systems():
     n = 4
     f, q, p = _random_cubic(rng, n), rng.normal(size=n), rng.normal(scale=1e-2, size=n)
     pieces = [(0,), (1, 3), (0, 2, 3), (0, 1, 2, 3)]
-    extra = [rng.uniform(-2, 2, (20, len(b))) for b in pieces]
     kw = dict(tol=1e-13, max_iters=40, armijo_factor=0.5, max_halvings=30, box_cap=50.0)
-    X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-2.0, 2.0, 3), extra)
+    X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-2.0, 2.0, 5))
     X, converged, rn, _ = _newton_batch(f, q, X0, beta=beta, p=p, **kw)
     # off the mask every returned row still holds p, bit for bit
     assert np.array_equal(X[~beta], np.broadcast_to(p, X.shape)[~beta])

@@ -146,6 +146,36 @@ def test_tensor_from_json_rejects_bad_entries():
         tensor_from_json({"order": 2, "dim": 2, "entries": [{"idx": [3, 1], "val": 1.0}]})
 
 
+@pytest.mark.parametrize("good", [3, 3.0])
+def test_json_integer_fields_accept_integral_numbers(good):
+    obj = {"order": good, "dim": good, "entries": [{"idx": [good, 1, 2], "val": 1.0}]}
+    t = tensor_from_json(obj)
+    assert t.order == 3 and t.dim == 3 and t.coeffs[2, 0, 1] == 1.0
+    f, _ = map_from_json({"dim": good, "terms": [obj]})
+    assert f.dim == 3
+
+
+@pytest.mark.parametrize("bad", [2.7, 1.9, True, "3"])
+@pytest.mark.parametrize("field", ["order", "dim", "idx", "map dim"])
+def test_json_integer_fields_reject_other_values(field, bad):
+    obj = {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": 1.0}]}
+    where = {"order": r"map: terms\[0\]: order", "dim": r"map: terms\[0\]: dim",
+             "idx": r"map: terms\[0\]: entries\[0\]: idx", "map dim": r"map: dim"}[field]
+    if field == "idx":
+        obj["entries"][0]["idx"] = [1, bad]
+    elif field != "map dim":
+        obj[field] = bad
+    mobj = {"dim": bad if field == "map dim" else 2, "terms": [obj]}
+    with pytest.raises(InvalidInputError, match=f"^{where} must be an integer, got {bad!r}$"):
+        map_from_json(mobj)
+
+
+def test_map_json_rejects_nonpositive_dim():
+    obj = {"order": 2, "dim": 1, "entries": []}
+    with pytest.raises(InvalidInputError, match="dim must be >= 1"):
+        map_from_json({"dim": -1, "terms": [obj]})
+
+
 def test_map_json_round_trip_folds_constants():
     f = PolynomialMap([diag_cube(), Tensor(np.eye(2))])
     obj = map_to_json(f)
