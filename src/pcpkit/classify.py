@@ -28,7 +28,7 @@ from .solver import (
     enumerate_solutions,
     solve,
 )
-from .tensor_core import MapLike, PcpInstance, PolynomialMap, Tensor, as_map, leading_term
+from .tensor_core import MapLike, PcpInstance, PolynomialMap, Report, Tensor, as_map, leading_term
 
 __all__ = [
     "ClassVerdict",
@@ -50,7 +50,7 @@ __all__ = [
 
 
 @dataclass
-class ClassVerdict:
+class ClassVerdict(Report):
     property: str
     verdict: str  # holds | fails | holds-up-to-sampling
     witness: dict | None = None
@@ -60,29 +60,12 @@ class ClassVerdict:
     def holds(self) -> bool:
         return self.verdict in ("holds", "holds-up-to-sampling")
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "property": self.property,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "evidence": self.evidence,
-        }
-
 
 @dataclass
-class ConeSample:
+class ConeSample(Report):
     generators: list  # unit vectors spanning the sampled rays of SOL(f_inf,0)
     exactness: str = "sampled"
     residuals: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "generators": [[float(v) for v in g] for g in self.generators],
-            "exactness": self.exactness,
-            "residuals": [float(r) for r in self.residuals],
-        }
 
 
 def _vec(x) -> list[float]:
@@ -128,14 +111,7 @@ def _r_search_one_d(F: PolynomialMap, d: np.ndarray, cfg: SolveConfig):
     Light sweep (no confirmation grid) used to discard d candidates fast;
     the winning candidate is re-checked with the full enumerator.
     """
-    light = SolveConfig(
-        seed=cfg.seed,
-        search_radius=cfg.search_radius,
-        grid_per_axis=7,
-        confirm_grid=False,
-        pattern_dim_cap=cfg.pattern_dim_cap,
-        tolerances=cfg.tolerances,
-    )
+    light = replace(cfg, grid_per_axis=7, confirm_grid=False)
     rep = enumerate_solutions(PcpInstance(F, d), light)
     for x in rep.solutions:
         if float(np.abs(x).max()) > cfg.tolerances.dedupe:
@@ -574,7 +550,7 @@ def strong_q_probe(
         rep = solve(inst, cfg)
         if rep.status == "solved":
             continue
-        cert = certify_unsolvable(inst, box, step)
+        cert = certify_unsolvable(inst, box, step, cfg.tolerances)
         if cert.certified:
             return ClassVerdict(
                 property="strong-q",
@@ -615,7 +591,7 @@ def strong_q_probe(
             continue
         hi = 1.2 * (1.0 + float(np.abs(q).max())) ** (1.0 / max(1, m - 1))
         step_cert = hi / (800 if n <= 2 else 80)
-        cert = certify_unsolvable(inst, [(0.0, hi)] * n, step_cert)
+        cert = certify_unsolvable(inst, [(0.0, hi)] * n, step_cert, cfg.tolerances)
         if cert.certified:
             return ClassVerdict(
                 property="strong-q",

@@ -51,6 +51,7 @@ from .solver import (
 from .tensor_core import (
     PcpInstance,
     PolynomialMap,
+    Report,
     _float_array,
     _read_json,
     instance_to_json,
@@ -125,8 +126,9 @@ def _instance_from_args(args, cfg: SolveConfig) -> PcpInstance:
     return PcpInstance(f, q)
 
 
-def _emit(args, human_lines, payload: dict) -> None:
+def _emit(args, human_lines, result) -> None:
     if args.json:
+        payload = {"schema": 1, "command": args.command, "result": result}
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:
         for line in human_lines:
@@ -149,7 +151,7 @@ def _fmt(x) -> str:
 
 
 @dataclasses.dataclass
-class ScenarioReport:
+class ScenarioReport(Report):
     scenario: str
     seed: int
     checks: list  # dicts: name, expected, observed, tag, ok
@@ -160,16 +162,7 @@ class ScenarioReport:
         return all(c["ok"] for c in self.checks)
 
     def to_json(self, include_timing: bool = False) -> dict:
-        out = {
-            "schema": 1,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": self.checks,
-        }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
+        return {**super().to_json(include_timing), "passed": self.passed}
 
 
 def _chk(name: str, expected, observed, tag: str, ok=None) -> dict:
@@ -248,7 +241,7 @@ def _scenario_example2(cfg: SolveConfig) -> list[dict]:
         )
     )
     inst = example2_instance()
-    cert = certify_unsolvable(inst, [(0.0, 1.1), (0.0, 1.1)], 1e-3)
+    cert = certify_unsolvable(inst, [(0.0, 1.1), (0.0, 1.1)], 1e-3, cfg.tolerances)
     checks.append(
         _chk("box certificate", "no-solution-certified", cert.status, "reference")
     )
@@ -478,8 +471,8 @@ def _cmd_solve(args) -> int:
     if rep.solutions:
         lines.append(f"x = {_fmt(rep.solutions[0])}")
         lines.append(f"residual = {rep.residuals[0]:.3e}")
-    _emit(args, lines, {"schema": 1, "command": "solve", "result": rep.to_json()})
-    return 0 if rep.status in ("solved", "all-solutions-enumerated") else 1
+    _emit(args, lines, rep.to_json())
+    return 0 if rep.status == "solved" else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -492,7 +485,7 @@ def _cmd_enumerate(args) -> int:
         f"solutions: {len(rep.solutions)}",
     ]
     lines += [f"  x = {_fmt(x)}" for x in rep.solutions]
-    _emit(args, lines, {"schema": 1, "command": "enumerate", "result": rep.to_json()})
+    _emit(args, lines, rep.to_json())
     return 0
 
 
@@ -515,15 +508,7 @@ def _cmd_classify(args) -> int:
         lines.append(f"{v.property}: {v.verdict}")
         if v.witness is not None:
             lines.append(f"  witness: {json.dumps(v.witness, sort_keys=True)}")
-    _emit(
-        args,
-        lines,
-        {
-            "schema": 1,
-            "command": "classify",
-            "result": [v.to_json() for v in verdicts],
-        },
-    )
+    _emit(args, lines, [v.to_json() for v in verdicts])
     return 0
 
 
@@ -546,7 +531,7 @@ def _cmd_degree(args) -> int:
         if "winding" in est.diagnostics:
             lines.append(f"winding cross-check: {est.diagnostics['winding']}")
         payload = est.to_json()
-    _emit(args, lines, {"schema": 1, "command": "degree", "result": payload})
+    _emit(args, lines, payload)
     return 0
 
 
@@ -575,7 +560,7 @@ def _cmd_construct(args) -> int:
         lines = [f"wrote {desc} to {args.out}"]
     else:
         lines = [json.dumps(obj, sort_keys=True, indent=1)]
-    _emit(args, lines, {"schema": 1, "command": "construct", "result": obj})
+    _emit(args, lines, obj)
     return 0
 
 
@@ -594,7 +579,7 @@ def _cmd_catalog(args) -> int:
                     "expected": [list(t) for t in e.expected],
                 }
             )
-        _emit(args, lines, {"schema": 1, "command": "catalog", "result": payload})
+        _emit(args, lines, payload)
         return 0
     # action == "check"
     cfg = _build_config(args)
@@ -615,7 +600,7 @@ def _cmd_catalog(args) -> int:
             )
             failed = failed or not r["ok"]
         payload.append({"name": name, "records": recs})
-    _emit(args, lines, {"schema": 1, "command": "catalog", "result": payload})
+    _emit(args, lines, payload)
     return 1 if failed else 0
 
 
@@ -634,11 +619,7 @@ def _cmd_reproduce(args) -> int:
         f"({sum(c['ok'] for c in rep.checks)}/{len(rep.checks)} checks, "
         f"{rep.wall_time_s:.1f}s)"
     )
-    _emit(
-        args,
-        lines,
-        {"schema": 1, "command": "reproduce", "result": rep.to_json()},
-    )
+    _emit(args, lines, rep.to_json())
     return 0 if rep.passed else 1
 
 

@@ -36,7 +36,7 @@ from .solver import (
     check_sol_infty_zero,
     enumerate_solutions,
 )
-from .tensor_core import MapLike, PcpInstance, PolynomialMap, Tensor, as_map, leading_term
+from .tensor_core import MapLike, PcpInstance, PolynomialMap, Report, Tensor, as_map, leading_term
 
 __all__ = [
     "DegreeEstimate",
@@ -55,7 +55,7 @@ _BALL_CAP = 64.0
 
 
 @dataclass
-class DegreeEstimate:
+class DegreeEstimate(Report):
     value: int
     method: str  # regular-value | winding | regular-value+winding
     regular_value: np.ndarray | None
@@ -63,20 +63,10 @@ class DegreeEstimate:
     tie_margin: float | None  # smallest branch slack observed; None if no preimages
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "value": int(self.value),
-            "method": self.method,
-            "regular_value": None
-            if self.regular_value is None
-            else [float(v) for v in self.regular_value],
-            "preimages": [
-                {"x": [float(v) for v in x], "sign": int(s)} for x, s in self.preimages
-            ],
-            "tie_margin": None if self.tie_margin is None else float(self.tie_margin),
-            "diagnostics": self.diagnostics,
-        }
+    def to_json(self, include_timing: bool = False) -> dict:
+        out = super().to_json(include_timing)
+        out["preimages"] = [{"x": x, "sign": s} for x, s in out["preimages"]]
+        return out
 
 
 class _Retry(Exception):
@@ -366,7 +356,7 @@ def _winding_cross_check(F: PolynomialMap, est: DegreeEstimate, cfg: SolveConfig
 
 
 @dataclass
-class HomotopyReport:
+class HomotopyReport(Report):
     mode: str
     status: str  # verified | precondition-failed | inconclusive
     degree_start: int | None
@@ -380,20 +370,6 @@ class HomotopyReport:
     @property
     def verified(self) -> bool:
         return self.status == "verified"
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "mode": self.mode,
-            "status": self.status,
-            "degree_start": self.degree_start,
-            "degree_end": self.degree_end,
-            "omega_radius": self.omega_radius,
-            "t_grid": [float(t) for t in self.t_grid],
-            "max_root_norms": [float(v) for v in self.max_root_norms],
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _scaled_map(lead: Tensor, lower: list[Tensor], t: float) -> PolynomialMap:
@@ -553,20 +529,11 @@ def homotopy_invariance_check(
 
 
 @dataclass
-class StabilityReport:
+class StabilityReport(Report):
     base_degree: int
     per_scale: list
     largest_stable_scale: float | None
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "base_degree": int(self.base_degree),
-            "per_scale": self.per_scale,
-            "largest_stable_scale": self.largest_stable_scale,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def stability_radius_probe(

@@ -23,6 +23,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .degree import DegreeEstimate, _draw_p
 from .errors import BudgetExhaustedError, DegenerateInputError, InvalidInputError
+from .tensor_core import Report
 
 __all__ = ["LcpInstance", "LcpResult", "lemke_solve", "lcp_enumerate", "lcp_degree"]
 
@@ -65,24 +66,13 @@ def _check_mq(inst, q, max_dim: int):
 
 
 @dataclass
-class LcpResult:
+class LcpResult(Report):
     status: str  # solved | ray-termination | infeasible-pattern-exhausted
     solutions: list
     pivots: int | None = None
     patterns_checked: int | None = None
     non_isolated_suspected: bool = False
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "status": self.status,
-            "solutions": [[float(v) for v in x] for x in self.solutions],
-            "pivots": self.pivots,
-            "patterns_checked": self.patterns_checked,
-            "non_isolated_suspected": bool(self.non_isolated_suspected),
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _verify_lcp(M, q, x, tol) -> bool:

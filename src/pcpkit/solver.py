@@ -23,14 +23,14 @@ from __future__ import annotations
 import itertools
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .backend import backend_name
 from .config import DEFAULT_TOLERANCES, Tolerances, is_positive_real
 from .errors import InvalidInputError
-from .tensor_core import MapLike, PcpInstance, as_map, leading_term
+from .tensor_core import MapLike, PcpInstance, Report, _jsonable, as_map, leading_term
 
 __all__ = [
     "SolveConfig",
@@ -98,11 +98,7 @@ class SolveConfig:
         return replace(self, search_radius=radius)
 
     def to_json(self) -> dict:
-        return asdict(self)
-
-
-def _vec_list(xs) -> list[list[float]]:
-    return [[float(v) for v in x] for x in xs]
+        return _jsonable(self)
 
 
 @dataclass
@@ -115,19 +111,12 @@ class VerifyReport:
     tol: float
 
     def to_json(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "max_violation": float(self.max_violation),
-            "negative_x": float(self.negative_x),
-            "negative_y": float(self.negative_y),
-            "complementarity": float(self.complementarity),
-            "tol": float(self.tol),
-        }
+        return _jsonable(self)
 
 
 @dataclass
-class SolveReport:
-    status: str  # solved | all-solutions-enumerated | no-solution-certified | budget-exhausted
+class SolveReport(Report):
+    status: str  # solve: solved | budget-exhausted; enumerate: all-solutions-enumerated
     solutions: list
     residuals: list
     verifications: list
@@ -136,22 +125,6 @@ class SolveReport:
     completeness: str | None = None
     diagnostics: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
-
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
-            "schema": 1,
-            "status": self.status,
-            "solutions": _vec_list(self.solutions),
-            "residuals": [float(r) for r in self.residuals],
-            "verifications": [v.to_json() for v in self.verifications],
-            "seed": self.seed,
-            "config": self.config.to_json(),
-            "completeness": self.completeness,
-            "diagnostics": self.diagnostics,
-        }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 # --- batched damped Newton ------------------------------------------------
@@ -537,7 +510,7 @@ def enumerate_solutions(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> 
 
 
 @dataclass
-class ZeroConeReport:
+class ZeroConeReport(Report):
     """One-sided sampling verdict on SOL(f_inf, 0) = {0}."""
 
     verdict: str  # zero-only | nonzero-solution-found
@@ -548,15 +521,6 @@ class ZeroConeReport:
     @property
     def zero_only(self) -> bool:
         return self.verdict == "zero-only"
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
-            "samples": self.samples,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
@@ -627,24 +591,13 @@ def check_sol_infty_zero(f: MapLike, seed: int = 0, cfg: SolveConfig = SolveConf
 
 
 @dataclass
-class BoundednessReport:
+class BoundednessReport(Report):
     max_norm: float
     max_norm_doubled_radius: float
     stable: bool
     passed: bool
     per_q: list
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "max_norm": float(self.max_norm),
-            "max_norm_doubled_radius": float(self.max_norm_doubled_radius),
-            "stable": bool(self.stable),
-            "passed": bool(self.passed),
-            "per_q": self.per_q,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def boundedness_probe(f: MapLike, K, cfg: SolveConfig = SolveConfig()) -> BoundednessReport:
@@ -693,7 +646,7 @@ def boundedness_probe(f: MapLike, K, cfg: SolveConfig = SolveConfig()) -> Bounde
 
 
 @dataclass
-class UnsolvableCertificate:
+class UnsolvableCertificate(Report):
     status: str  # no-solution-certified | inconclusive
     min_residual: float
     argmin: np.ndarray
@@ -708,21 +661,6 @@ class UnsolvableCertificate:
     @property
     def certified(self) -> bool:
         return self.status == "no-solution-certified"
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "status": self.status,
-            "min_residual": float(self.min_residual),
-            "argmin": [float(v) for v in self.argmin],
-            "lipschitz_bound": float(self.lipschitz_bound),
-            "margin": float(self.margin),
-            "threshold": float(self.threshold),
-            "grid_points": self.grid_points,
-            "box": self.box,
-            "step": float(self.step),
-            "note": self.note,
-        }
 
 
 def _lipschitz_bound(f, box_hi: float) -> float:
@@ -740,13 +678,15 @@ def certify_unsolvable(
     inst: PcpInstance,
     box,
     step: float,
+    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> UnsolvableCertificate:
     """Grid + margin certificate that no solution lies in the box.
 
     The min map is Lipschitz on the box with constant L = max(1, L_f) in the
     infinity norm; every point of the box is within step/2 of a grid point,
     so a minimum grid residual above L*step/2 excludes zeros. Reports
-    inconclusive otherwise (including when a grid point nearly solves).
+    inconclusive otherwise, noting when a grid point nearly solves: its
+    residual is within dim * tols.feasibility.
     The grid is evaluated _KERNEL_ROWS points at a time.
     """
     f, q, n = inst.map, inst.q, inst.dim
@@ -786,7 +726,7 @@ def certify_unsolvable(
     else:
         status = "inconclusive"
         note = "margin not met"
-        if best <= inst.map.dim * DEFAULT_TOLERANCES.feasibility:
+        if best <= inst.map.dim * tols.feasibility:
             note = "a grid point nearly solves the instance"
     return UnsolvableCertificate(
         status=status,

@@ -32,6 +32,7 @@ y^[1/k] are the order-preserving bijections used throughout.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 from functools import cached_property
@@ -417,6 +418,35 @@ def instance_to_json(inst: PcpInstance) -> dict:
         "map": map_to_json(inst.map),
         "q": [float(v) for v in inst.q],
     }
+
+
+def _jsonable(v):
+    """Plain JSON value of v: a dataclass becomes the dict of its fields, a
+    numpy array a nested list and a numpy scalar a Python number, at every
+    depth of dicts, lists and tuples."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in dataclasses.fields(v)}
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, np.generic):
+        return v.item()
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return v
+
+
+class Report:
+    """Mixin giving a dataclass report its canonical JSON: schema 1 plus
+    every field through _jsonable, with wall_time_s only when include_timing
+    is set, so equal inputs and seeds give equal json.dumps(sort_keys=True)."""
+
+    def to_json(self, include_timing: bool = False) -> dict:
+        out = {"schema": 1, **_jsonable(self)}
+        if not include_timing:
+            out.pop("wall_time_s", None)
+        return out
 
 
 def _read_json(path: str, text: str | None = None):

@@ -1,5 +1,6 @@
 import numpy as np
 
+from pcpkit import solver as solver_module
 from pcpkit.classify import (
     dual_interior_test,
     gus_probe,
@@ -14,6 +15,7 @@ from pcpkit.classify import (
     strong_q_probe,
 )
 from pcpkit.constructions import example_catalog
+from pcpkit.solver import SolveConfig
 from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
 
 A1 = np.array([[-1.0, 1.0], [3.0, -2.0]])
@@ -176,3 +178,18 @@ def test_property_table_refuses_coefficient_checks_on_mixed_maps():
     assert property_check("z")(PolynomialMap([CUBE]), SolveConfig()).verdict == "holds"
     with pytest.raises(InvalidInputError, match="unknown property"):
         property_check("z-leading")
+
+
+def test_solve_config_reaches_the_r_search_newton(monkeypatch):
+    engine = solver_module._newton_batch
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["armijo_factor"], kwargs["max_halvings"], kwargs["max_iters"]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton_batch", spy)
+    cfg = SolveConfig(armijo_factor=0.25, max_halvings=12, newton_max_iters=50)
+    assert is_R(CUBE, n_random=0, cfg=cfg).verdict == "holds-up-to-sampling"
+    # the zero-cone sampling polishes with its own 40 iterations
+    assert seen and set(seen) == {(0.25, 12, 50), (0.25, 12, 40)}

@@ -210,6 +210,18 @@ def test_certify_unsolvable_negative_control():
     assert not cert.certified
 
 
+def test_certify_unsolvable_reads_the_given_feasibility_tolerance():
+    # the root (1.05, 1.05) falls between grid nodes: the best node misses
+    # it by a residual of 0.16, below the margin and within 2 * 0.1
+    inst = PcpInstance(diag_cube(), np.full(2, -1.05**3))
+    box = [(0.0, 1.5), (0.0, 1.5)]
+    default = certify_unsolvable(inst, box, step=0.1)
+    loose = certify_unsolvable(inst, box, step=0.1, tols=Tolerances(feasibility=0.1))
+    assert default.status == loose.status == "inconclusive"
+    assert default.note == "margin not met"
+    assert loose.note == "a grid point nearly solves the instance"
+
+
 def test_certify_unsolvable_blocks_match_one_batch():
     # 135^2 = 18225 grid points: four row blocks and a partial one
     f = PolynomialMap([skew_scaled(), Tensor(-2.0 * np.sqrt(2.0) * np.eye(2))])
