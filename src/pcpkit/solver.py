@@ -530,7 +530,7 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
     Starts: arc angles on the quarter circle (dim 2) or the normalized points
     of {0..levels-1}^n minus the origin, then extra seeded random directions;
     unique_starts merges starts within 1e-9. Semismooth Newton polishes every
-    start to tol; each converged root of norm above 1e-6 is normalized back
+    start to tol in at most cfg.newton_max_iters iterations; each converged root of norm above 1e-6 is normalized back
     onto the sphere and kept, in start order, as (start, u, residual) when
     its residual is within the feasibility tolerance. Returns (starts, roots).
     """
@@ -547,8 +547,8 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
     if unique_starts:
         U0 = np.array(_dedupe(list(U0), 1e-9))
     X, converged, _, _ = _newton_batch(
-        F, np.zeros(n), U0, tol=tol, max_iters=40, armijo_factor=cfg.armijo_factor,
-        max_halvings=cfg.max_halvings, box_cap=100.0,
+        F, np.zeros(n), U0, tol=tol, max_iters=cfg.newton_max_iters,
+        armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings, box_cap=100.0,
     )
     roots = []
     for b in np.nonzero(converged)[0]:

@@ -53,6 +53,20 @@ def test_r_fails_for_example_tensor_with_witness():
     assert np.allclose(v.witness["nonzero_solution"], [0.0, 0.5], atol=1e-8)
 
 
+def test_r_refuses_bad_d_candidates_before_any_sweep(monkeypatch):
+    import pytest
+
+    from pcpkit.errors import InvalidInputError
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before validating the d candidates")
+
+    monkeypatch.setattr(solver_module, "_newton_batch", no_sweep)
+    for bad in ([-1.0, 2.0], [0.0, 1.0], [np.inf, 1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(InvalidInputError):
+            is_R(CUBE, d_candidates=[bad])
+
+
 def test_copositive_identically_zero_form():
     # x^T (Lx)^[3] vanishes identically when L rotates by 90 degrees
     v = is_copositive(LEAD2)
@@ -64,7 +78,6 @@ def test_copositive_identically_zero_form():
 def test_copositive_sampling_verdicts():
     assert is_copositive(CUBE).verdict == "holds-up-to-sampling"
     assert is_copositive(CUBE, strict=True).verdict == "holds-up-to-sampling"
-    assert is_copositive(CUBE, mode="simplex-minimize").verdict == "holds-up-to-sampling"
     v = is_copositive(Tensor(-CUBE_C))
     assert v.verdict == "fails"
     assert v.witness["value"] < -1e-10
@@ -122,6 +135,22 @@ def test_p_property_fails_only_on_a_violation():
     assert np.max((x - y) * (F2.eval(x) - F2.eval(y))) <= 0.0
 
 
+def test_p_property_refuses_pairs_off_the_orthant():
+    import pytest
+
+    from pcpkit.errors import InvalidInputError
+
+    # x -> x^[2] is a P-function on the orthant; (-1, 0) lies outside it
+    square = np.zeros((2, 2, 2))
+    square[0, 0, 0] = square[1, 1, 1] = 1.0
+    for bad in ([(-1.0, 0.0), (0.0, 0.0)], [(np.nan, 0.0), (0.0, 0.0)],
+                [(1.0, 0.0, 0.0), (0.0, 0.0)]):
+        with pytest.raises(InvalidInputError):
+            p_property_check(Tensor(square), pair_samples=[bad])
+    v = p_property_check(Tensor(square), pair_samples=[([3.0, 0.0], [0.0, 3.0])])
+    assert v.verdict == "holds-up-to-sampling"
+
+
 def test_sol_cone_sample_single_generator():
     S = sol_cone_sample(LEAD2)
     assert len(S.generators) == 1
@@ -151,6 +180,14 @@ def test_strong_q_witness_path():
     v = strong_q_probe(LEAD2, witnesses=[(inst, [(0.0, 1.1), (0.0, 1.1)], 1e-3)])
     assert v.verdict == "fails"
     assert v.witness["certificate"]["status"] == "no-solution-certified"
+
+
+def test_strong_q_counts_witnesses_from_a_generator():
+    # both instances solve, so neither witness ends the probe
+    gen = ((PcpInstance(CUBE, q), [(0.0, 2.0)] * 2, 1e-2) for q in (-np.ones(2), np.ones(2)))
+    v = strong_q_probe(CUBE, trials=1, witnesses=gen)
+    assert v.verdict == "holds-up-to-sampling"
+    assert v.evidence["witnesses_checked"] == 2
 
 
 def test_dual_strict_tolerance_reaches_the_dual_test():
@@ -191,5 +228,5 @@ def test_solve_config_reaches_the_r_search_newton(monkeypatch):
     monkeypatch.setattr(solver_module, "_newton_batch", spy)
     cfg = SolveConfig(armijo_factor=0.25, max_halvings=12, newton_max_iters=50)
     assert is_R(CUBE, n_random=0, cfg=cfg).verdict == "holds-up-to-sampling"
-    # the zero-cone sampling polishes with its own 40 iterations
-    assert seen and set(seen) == {(0.25, 12, 50), (0.25, 12, 40)}
+    # the zero-cone sampling polishes with the same settings as the R search
+    assert seen and set(seen) == {(0.25, 12, 50)}

@@ -253,13 +253,46 @@ def test_config_file_overrides(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves two classify checks only and is imported there
+    # no module loads scipy: not the CLI, and not any of the classify checks
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pcpkit.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, numpy as np, pcpkit.cli\n"
+        "from pcpkit.classify import PROPERTIES, property_check\n"
+        "from pcpkit.solver import SolveConfig\n"
+        "from pcpkit.tensor_core import Tensor\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "C = np.zeros((2, 2, 2, 2)); C[0, 0, 0, 0] = C[1, 1, 1, 1] = 1.0\n"
+        "for name in PROPERTIES:\n"
+        "    property_check(name)(Tensor(C), SolveConfig())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_cli_p_verdict_is_strict_json(tmp_path, capsys):
+    # the polish finds this tensor's violation; an unbounded one drifts to
+    # pairs near 1e103 where psi overflows to -inf, which is not JSON
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0], c[0, 0, 1], c[0, 1, 0], c[0, 1, 1] = 2.677, -0.002, -1.087, 1.594
+    c[1, 0, 0], c[1, 0, 1], c[1, 1, 0], c[1, 1, 1] = -1.031, -1.035, 1.813, 0.447
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(tensor_to_json(Tensor(c))))
+    assert cli.main(["--json", "classify", "--tensor", str(p), "--properties", "p"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    (v,) = out["result"]
+    assert v["verdict"] == "fails"
+    x, y = np.array(v["witness"]["x"]), np.array(v["witness"]["y"])
+    f = PolynomialMap([Tensor(c)])
+    assert min(x.min(), y.min()) >= 0.0 and max(x.max(), y.max()) <= 2.0
+    assert np.abs(x - y).max() >= 1e-3
+    assert np.max((x - y) * (f.eval(x) - f.eval(y))) <= 0.0
 
 
 def _malformed_argv(case, tmp_path):
