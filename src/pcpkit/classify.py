@@ -18,6 +18,7 @@ strong-Q checks run the solver's Newton engine.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,6 +62,9 @@ __all__ = [
     "property_check",
 ]
 
+# Simplex starts of the strong-M certificate search: the barycenter, then Dirichlet draws.
+_STRONG_M_RESTARTS = 50
+
 
 @dataclass
 class ClassVerdict(Report):
@@ -101,9 +105,9 @@ def _as_tensor(A, prop: str) -> Tensor:
 # --- R0 / R -----------------------------------------------------------------
 
 
-def is_R0(A: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
-    """SOL(f_inf, 0) = {0}: the zero-only verdict of the sampled cone check."""
-    rep = check_sol_infty_zero(as_map(A), seed=seed, cfg=cfg)
+def is_R0(A: MapLike, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
+    """SOL(f_inf, 0) = {0}: the zero-only verdict of check_sol_infty_zero."""
+    rep = check_sol_infty_zero(as_map(A), cfg)
     if rep.zero_only:
         return ClassVerdict(
             property="r0",
@@ -132,24 +136,19 @@ def _r_search_one_d(F: PolynomialMap, d: np.ndarray, cfg: SolveConfig):
     return None
 
 
-def is_R(
-    A: MapLike,
-    d_candidates=(),
-    n_random: int = 200,
-    seed: int = 0,
-    cfg: SolveConfig = SolveConfig(),
-) -> ClassVerdict:
+def is_R(A: MapLike, cfg: SolveConfig = SolveConfig(), d_candidates=(),
+         n_random: int = 200) -> ClassVerdict:
     """R-property: R0 and SOL(f_inf, d) = {0} for some d > 0.
 
-    Searches d over e, n_random seeded positive vectors, then any
-    user-supplied candidates; the first d that survives the light sweep is
-    re-verified with the full enumerator.
+    Searches d over e, n_random positive vectors drawn with cfg.seed, then
+    any user-supplied candidates; the first d that survives the light sweep
+    is re-verified with the full enumerator.
     """
     F = leading_term(as_map(A))
     user_ds = [_as_vector(d, F.dim, "d candidate") for d in d_candidates]
     if any(d.min() <= 0 for d in user_ds):
         raise InvalidInputError("d candidates must be strictly positive")
-    r0 = is_R0(F, seed=seed, cfg=cfg)
+    r0 = is_R0(F, cfg)
     if not r0.holds:
         return ClassVerdict(
             property="r",
@@ -157,7 +156,7 @@ def is_R(
             witness=r0.witness,
             evidence={"reason": "not R0", "r0": r0.to_json()},
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     cands = [np.ones(F.dim)]
     cands += [rng.uniform(0.05, 3.0, size=F.dim) for _ in range(n_random)]
     cands += user_ds
@@ -231,23 +230,20 @@ def _projected_descent(obj, grad, project, x0: np.ndarray, step: float, iters: i
     return x, fx
 
 
-def is_copositive(
-    F: MapLike,
-    strict: bool = False,
-    seed: int = 0,
-    cfg: SolveConfig = SolveConfig(),
-) -> ClassVerdict:
+def is_copositive(F: MapLike, cfg: SolveConfig = SolveConfig(),
+                  strict: bool = False) -> ClassVerdict:
     """<F(x), x> >= 0 for all x >= 0 (strict: > 0 for x != 0).
 
     Homogeneous maps reduce to the standard simplex; general maps get a
-    radius sweep over boxes. The 12 worst grid points are polished by
-    projected gradient descent onto the simplex or the box [0, 4]^n. An
-    identically-zero form is detected and reported as an exact verdict.
+    radius sweep over boxes; either grid gains 256 points drawn with
+    cfg.seed. The 12 worst grid points are polished by projected gradient
+    descent onto the simplex or the box [0, 4]^n. An identically-zero form
+    is detected and reported as an exact verdict.
     """
     Fm = as_map(F)
     n = Fm.dim
     name = "strictly-copositive" if strict else "copositive"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def phi_batch(X):
         return np.einsum("bi,bi->b", Fm.eval_batch(X), X)
@@ -378,11 +374,12 @@ def is_nonneg_pos_diag(A) -> ClassVerdict:
     )
 
 
-def is_strong_M(A, restarts: int = 50, seed: int = 0) -> ClassVerdict:
+def is_strong_M(A, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
     """Z-tensor with some d > 0 giving f_inf(d) > 0 componentwise.
 
     The certificate d is searched by projected subgradient ascent of
-    min_i f_inf(d)_i over the simplex; a found d is an exact certificate.
+    min_i f_inf(d)_i over the simplex from _STRONG_M_RESTARTS starts drawn
+    with cfg.seed; a found d is an exact certificate.
     """
     T = _as_tensor(A, "strong-m")
     z = is_Z_tensor(T)
@@ -395,8 +392,8 @@ def is_strong_M(A, restarts: int = 50, seed: int = 0) -> ClassVerdict:
         )
     F = as_map(T)
     n = T.dim
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(n) / n] + list(rng.dirichlet(np.ones(n), size=restarts - 1))
+    rng = np.random.default_rng(cfg.seed)
+    starts = [np.ones(n) / n] + list(rng.dirichlet(np.ones(n), size=_STRONG_M_RESTARTS - 1))
 
     def neg_min(d):
         return -float(F.eval(d).min())
@@ -424,7 +421,7 @@ def is_strong_M(A, restarts: int = 50, seed: int = 0) -> ClassVerdict:
         property="strong-m",
         verdict="fails",
         witness={"best_d": _vec(best_d), "min_component": best_min},
-        evidence={"restarts": restarts, "note": "no positive-image d found"},
+        evidence={"restarts": _STRONG_M_RESTARTS, "note": "no positive-image d found"},
     )
 
 
@@ -453,14 +450,10 @@ def _cluster_reps(solutions, radius: float):
     return reps
 
 
-def gus_probe(
-    A: MapLike,
-    q_samples=None,
-    seed: int = 0,
-    cfg: SolveConfig = SolveConfig(),
-) -> ClassVerdict:
+def gus_probe(A: MapLike, cfg: SolveConfig = SolveConfig(), q_samples=None) -> ClassVerdict:
     """Globally-unique-solvability probe: every sampled q must yield exactly
-    one solution under full enumeration.
+    one solution under full enumeration. The q's are the caller's q_samples
+    (at least one) or 34 drawn with cfg.seed.
 
     Solutions closer than the flatness scale feasibility**(1/(m-1)) are
     merged before counting: a root of multiplicity up to m-1 admits a ball
@@ -469,7 +462,7 @@ def gus_probe(
     """
     F = as_map(A)
     n = F.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     flat = max(
         cfg.tolerances.dedupe,
         float(cfg.tolerances.feasibility ** (1.0 / max(1, F.order - 1))),
@@ -479,6 +472,8 @@ def gus_probe(
         if q_samples is not None
         else _default_q_samples(n, rng)
     )
+    if not qs:
+        raise InvalidInputError("gus probe needs at least one q sample")
     counts = []
     for q in qs:
         rep = enumerate_solutions(PcpInstance(F, q), cfg)
@@ -519,25 +514,23 @@ def _random_lower_terms(order: int, n: int, rng) -> list[Tensor]:
     return terms
 
 
-def strong_q_probe(
-    A,
-    trials: int = 50,
-    seed: int = 0,
-    cfg: SolveConfig = SolveConfig(),
-    witnesses=(),
-) -> ClassVerdict:
+def strong_q_probe(A, cfg: SolveConfig = SolveConfig(), trials: int = 50,
+                   witnesses=()) -> ClassVerdict:
     """Solvability of PCP(f, q) for every f with leading term A.
 
     Checks caller-supplied witness triples (instance, box, step) by
-    certificate first, then random trials with lower-order coefficients in
-    [-1, 1] and q in [-2, 2]; a failed solve attempts a box certificate. Any
-    certified non-existence is a failure witness; otherwise the verdict is
-    capped at holds-up-to-sampling, with unresolved trials counted openly.
+    certificate first, then trials (>= 1) random instances drawn with
+    cfg.seed: lower-order coefficients in [-1, 1] and q in [-2, 2]. A failed
+    solve attempts a box certificate. Any certified non-existence is a
+    failure witness; otherwise the verdict is capped at
+    holds-up-to-sampling, with unresolved trials counted openly.
     """
     T = _as_tensor(A, "strong-q")
     n, m = T.dim, T.order
     if m < 3:
         raise InvalidInputError("strong-Q probe needs a tensor of order >= 3")
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) or trials < 1:
+        raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
     witnesses = list(witnesses)
     for inst, box, step in witnesses:
         rep = solve(inst, cfg)
@@ -557,7 +550,7 @@ def strong_q_probe(
                 },
                 evidence={"source": "supplied witness"},
             )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     solved = 0
     unresolved = []
     for t in range(trials):
@@ -610,25 +603,21 @@ def strong_q_probe(
 _P_POLISH_STARTS = 40
 
 
-def p_property_check(
-    f: MapLike,
-    pair_samples=None,
-    seed: int = 0,
-    cfg: SolveConfig = SolveConfig(),
-) -> ClassVerdict:
+def p_property_check(f: MapLike, cfg: SolveConfig = SolveConfig(),
+                     pair_samples=None) -> ClassVerdict:
     """P-property: max_i (x-y)_i [f(x)-f(y)]_i > 0 for all x != y >= 0.
 
-    Structured pairs (origin vs axes and ones, axis vs axis), 256 seeded
-    pairs from [0, 2]^n and any caller pairs (each x, y finite, >= 0, of
-    length n) are tested first; the first pair with psi <= 0 is a witness.
-    Otherwise the worst pairs are polished by projected subgradient descent
-    of psi over the box [0, 2]^2n, with a separation penalty so the witness
-    never collapses to x = y. min_value is the least psi over pairs at least
-    1e-3 apart in the max norm.
+    Structured pairs (origin vs axes and ones, axis vs axis), 256 pairs
+    drawn from [0, 2]^n with cfg.seed and any caller pairs (each x, y
+    finite, >= 0, of length n) are tested first; the first pair with
+    psi <= 0 is a witness. Otherwise the worst pairs are polished by
+    projected subgradient descent of psi over the box [0, 2]^2n, with a
+    separation penalty so the witness never collapses to x = y. min_value
+    is the least psi over pairs at least 1e-3 apart in the max norm.
     """
     Fm = as_map(f)
     n = Fm.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     pairs = []
     for t in (0.5, 1.0, 2.0):
         for i in range(n):
@@ -722,12 +711,13 @@ def p_property_check(
 # --- solution cone S and its dual -------------------------------------------
 
 
-def sol_cone_sample(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -> ConeSample:
+def sol_cone_sample(F: MapLike, cfg: SolveConfig = SolveConfig()) -> ConeSample:
     """Unit generators of S = SOL(f_inf, 0), collected by sampling the
-    nonnegative sphere and polishing with semismooth Newton. The zero
-    solution is implicit; S is invariant under positive scaling."""
+    nonnegative sphere (its random directions drawn with cfg.seed) and
+    polishing with semismooth Newton. The zero solution is implicit; S is
+    invariant under positive scaling."""
     _, roots = _orthant_sphere_roots(
-        leading_term(as_map(F)), np.random.default_rng(seed), arc=181, levels=7,
+        leading_term(as_map(F)), np.random.default_rng(cfg.seed), arc=181, levels=7,
         extra=128, tol=1e-13, cfg=cfg,
     )
     gens: list[np.ndarray] = []
@@ -749,8 +739,8 @@ def dual_interior_test(q, S: ConeSample, tols: Tolerances = DEFAULT_TOLERANCES) 
     """Position of q relative to the dual cone S*: "interior", "boundary",
     or "outside", with |<q, g>| <= tols.dual_strict * ||q|| counting as on
     the boundary. An empty generator list means S = {0}, whose dual is the
-    whole space."""
-    q = np.asarray(q, dtype=np.float64)
+    whole space. q must be finite and as long as the generators."""
+    q = _as_vector(q, len(S.generators[0]) if S.generators else np.size(q), "q")
     if not S.generators:
         return "interior"
     scale = tols.dual_strict * float(np.linalg.norm(q))
@@ -768,16 +758,16 @@ def dual_interior_test(q, S: ConeSample, tols: Tolerances = DEFAULT_TOLERANCES) 
 # nonneg-pos-diag, strong-m) and the strong-Q probe take F's single tensor
 # and raise InvalidInputError when F has more than one term.
 _CHECKS = {
-    "r0": lambda F, cfg: is_R0(F, seed=cfg.seed, cfg=cfg),
-    "r": lambda F, cfg: is_R(F, seed=cfg.seed, cfg=cfg),
-    "copositive": lambda F, cfg: is_copositive(F, seed=cfg.seed, cfg=cfg),
-    "strictly-copositive": lambda F, cfg: is_copositive(F, strict=True, seed=cfg.seed, cfg=cfg),
+    "r0": is_R0,
+    "r": is_R,
+    "copositive": is_copositive,
+    "strictly-copositive": lambda F, cfg: is_copositive(F, cfg, strict=True),
     "z": lambda F, cfg: is_Z_tensor(F),
-    "strong-m": lambda F, cfg: is_strong_M(F, seed=cfg.seed),
+    "strong-m": is_strong_M,
     "nonneg-pos-diag": lambda F, cfg: is_nonneg_pos_diag(F),
-    "gus": lambda F, cfg: gus_probe(F, seed=cfg.seed, cfg=cfg),
-    "strong-q": lambda F, cfg: strong_q_probe(F, seed=cfg.seed, cfg=cfg),
-    "p": lambda F, cfg: p_property_check(F, seed=cfg.seed, cfg=cfg),
+    "gus": gus_probe,
+    "strong-q": strong_q_probe,
+    "p": p_property_check,
 }
 PROPERTIES = tuple(_CHECKS)
 

@@ -181,7 +181,7 @@ def _scenario_example1(cfg: SolveConfig) -> list[dict]:
     est_m = lcp_degree(EXAMPLE1_MATRIX, seed=cfg.seed, tols=cfg.tolerances)
     checks.append(_chk("matrix degree", "-1", est_m.value, "reference"))
     T = matrix_power_tensor(EXAMPLE1_MATRIX, 3)
-    est_t = tensor_degree(T, seed=cfg.seed, cfg=cfg)
+    est_t = tensor_degree(T, cfg)
     checks.append(_chk("tensor degree", "-1", est_t.value, "reference"))
     checks.append(
         _chk(
@@ -191,9 +191,9 @@ def _scenario_example1(cfg: SolveConfig) -> list[dict]:
             "derived",
         )
     )
-    r0 = is_R0(T, seed=cfg.seed, cfg=cfg)
+    r0 = is_R0(T, cfg)
     checks.append(_chk("r0", "holds-up-to-sampling", r0.verdict, "reference"))
-    r = is_R(T, seed=cfg.seed, cfg=cfg)
+    r = is_R(T, cfg)
     checks.append(_chk("r", "fails", r.verdict, "reference"))
     checks.append(
         _chk(
@@ -203,7 +203,7 @@ def _scenario_example1(cfg: SolveConfig) -> list[dict]:
             "derived",
         )
     )
-    sq = strong_q_probe(T, trials=50, seed=cfg.seed, cfg=cfg)
+    sq = strong_q_probe(T, cfg, trials=50)
     checks.append(
         _chk("strong-q", "holds-up-to-sampling", sq.verdict, "reference")
     )
@@ -216,7 +216,7 @@ def _scenario_example1(cfg: SolveConfig) -> list[dict]:
 def _scenario_example2(cfg: SolveConfig) -> list[dict]:
     checks = []
     lead = leading_term(example2_instance().map)
-    S = sol_cone_sample(lead, seed=cfg.seed, cfg=cfg)
+    S = sol_cone_sample(lead, cfg)
     checks.append(_chk("cone generator count", "1", len(S.generators), "reference"))
     if S.generators:
         g = S.generators[0]
@@ -230,7 +230,7 @@ def _scenario_example2(cfg: SolveConfig) -> list[dict]:
                 ok=angle <= 1e-4,
             )
         )
-    cop = is_copositive(lead, seed=cfg.seed, cfg=cfg)
+    cop = is_copositive(lead, cfg)
     checks.append(_chk("leading term copositive", "holds", cop.verdict, "reference"))
     checks.append(
         _chk(
@@ -364,7 +364,7 @@ def _scenario_r_degree_one(cfg: SolveConfig) -> list[dict]:
     wanted += [f"r-matrix-power-{i:02d}" for i in range(1, 11)]
     catalog = {e.name: e for e in example_catalog()}
     for name in wanted:
-        est = tensor_degree(catalog[name].tensor, seed=cfg.seed, cfg=cfg)
+        est = tensor_degree(catalog[name].tensor, cfg)
         checks.append(_chk(f"degree of {name}", "1", est.value, "reference"))
     return checks
 
@@ -395,9 +395,9 @@ def _scenario_copositive_s(cfg: SolveConfig) -> list[dict]:
     checks = []
     entry = {e.name: e for e in example_catalog()}["copositive-cone"]
     lead = entry.payload
-    cop = is_copositive(lead, seed=cfg.seed, cfg=cfg)
+    cop = is_copositive(lead, cfg)
     checks.append(_chk("map copositive", "holds", cop.verdict, "direct"))
-    S = sol_cone_sample(lead, seed=cfg.seed, cfg=cfg)
+    S = sol_cone_sample(lead, cfg)
     checks.append(_chk("cone generator count", "1", len(S.generators), "reference"))
     for q in (
         np.array([2.0, -2.0]),
@@ -520,13 +520,11 @@ def _cmd_degree(args) -> int:
         lines = [f"degree: {w} (winding-2d)"]
         payload = {"value": w, "method": "winding-2d"}
     elif args.method == "rv":
-        est = local_degree_min_map(
-            leading_term(PolynomialMap([T])), seed=cfg.seed, cfg=cfg
-        )
+        est = local_degree_min_map(leading_term(PolynomialMap([T])), cfg)
         lines = [f"degree: {est.value} ({est.method})"]
         payload = est.to_json()
     else:
-        est = tensor_degree(T, seed=cfg.seed, cfg=cfg)
+        est = tensor_degree(T, cfg)
         lines = [f"degree: {est.value} ({est.method})"]
         if "winding" in est.diagnostics:
             lines.append(f"winding cross-check: {est.diagnostics['winding']}")

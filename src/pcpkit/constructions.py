@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classify import property_check
+from .degree import tensor_degree
 from .errors import InvalidInputError
-from .tensor_core import PcpInstance, PolynomialMap, Tensor, _check_odd
+from .solver import SolveConfig
+from .tensor_core import PcpInstance, PolynomialMap, Tensor, _check_odd, leading_term
 
 __all__ = [
     "CatalogEntry",
@@ -366,7 +369,7 @@ def example_catalog() -> list[CatalogEntry]:
     return entries
 
 
-def check_catalog_entry(entry: CatalogEntry, cfg=None) -> list[dict]:
+def check_catalog_entry(entry: CatalogEntry, cfg: SolveConfig = SolveConfig()) -> list[dict]:
     """Re-run every expected verdict of a catalog entry; returns one record
     per expectation with observed value and pass flag.
 
@@ -374,16 +377,10 @@ def check_catalog_entry(entry: CatalogEntry, cfg=None) -> list[dict]:
     classify property X of the leading term of the entry's map, any other
     name that property of the map itself.
     """
-    from .classify import property_check
-    from .degree import tensor_degree
-    from .solver import SolveConfig
-    from .tensor_core import leading_term
-
-    cfg = cfg or SolveConfig()
     records = []
     for prop, expected, tag in entry.expected:
         if prop == "degree":
-            observed = str(tensor_degree(entry.tensor, seed=cfg.seed, cfg=cfg).value)
+            observed = str(tensor_degree(entry.tensor, cfg).value)
         else:
             check = property_check(prop.removesuffix("-leading"))
             target = leading_term(entry.map) if prop.endswith("-leading") else entry.map

@@ -49,9 +49,11 @@ __all__ = [
     "stability_radius_probe",
 ]
 
-_MAX_DEGREE_DIM = 4
 _P_RETRIES = 20
 _BALL_CAP = 64.0
+# The winding circle: its radius, and its initial samples before bisection.
+_WINDING_RADIUS = 1.0
+_WINDING_SAMPLES = 4096
 
 
 @dataclass
@@ -240,13 +242,9 @@ def _regular_value_degree(
     )
 
 
-def winding_degree_2d(
-    F: MapLike,
-    radius: float = 1.0,
-    samples: int = 4096,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> int:
-    """Winding number of min{x, F(x)} around a circle of the given radius.
+def winding_degree_2d(F: MapLike, tols: Tolerances = DEFAULT_TOLERANCES) -> int:
+    """Winding number of min{x, F(x)} around the circle of radius
+    _WINDING_RADIUS, starting from _WINDING_SAMPLES angles.
 
     Adaptive: bisects any arc whose angle step reaches pi/2, so the winding
     count is unambiguous. Raises DegenerateInputError when the map (nearly)
@@ -255,11 +253,9 @@ def winding_degree_2d(
     Fm = as_map(F)
     if Fm.dim != 2:
         raise InvalidInputError("winding numbers are for dim 2 only")
-    if radius <= 0 or samples < 16:
-        raise InvalidInputError("radius must be positive and samples >= 16")
 
     def angles_of(th):
-        X = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+        X = _WINDING_RADIUS * np.stack([np.cos(th), np.sin(th)], axis=1)
         G = np.minimum(X, Fm.eval_batch(X))
         norms = np.hypot(G[:, 0], G[:, 1])
         floor = tols.zero_on_circle * max(1.0, float(norms.max()))
@@ -267,7 +263,7 @@ def winding_degree_2d(
             raise DegenerateInputError("min map vanishes on the circle")
         return np.arctan2(G[:, 1], G[:, 0])
 
-    th = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, _WINDING_SAMPLES, endpoint=False)
     phi = angles_of(th)
     for _ in range(32):
         dphi = np.diff(np.append(phi, phi[0]))
@@ -290,23 +286,24 @@ def winding_degree_2d(
     return int(w)
 
 
-def local_degree_min_map(F: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -> DegreeEstimate:
+def local_degree_min_map(F: MapLike, cfg: SolveConfig = SolveConfig()) -> DegreeEstimate:
     """Regular-value degree of min{x, F(x)} at the origin for a homogeneous
-    map F with SOL(F, 0) = {0}.
+    map F of dim at most cfg.pattern_dim_cap with SOL(F, 0) = {0}.
 
+    The zero-cone sample and the regular value p are drawn with cfg.seed.
     The zero-only precondition is a sampling certificate and is recorded in
     the diagnostics as an assumption, not a proof.
     """
     F = as_map(F)
     if not F.is_homogeneous():
         raise InvalidInputError("local degree at the origin needs a homogeneous map")
-    if F.dim > _MAX_DEGREE_DIM:
-        raise InvalidInputError(f"degree computation capped at dim {_MAX_DEGREE_DIM}")
-    return _regular_value_estimate(F, check_sol_infty_zero(F, seed=seed, cfg=cfg), seed, cfg)
+    if F.dim > cfg.pattern_dim_cap:
+        raise InvalidInputError(f"degree computation capped at dim {cfg.pattern_dim_cap}")
+    return _regular_value_estimate(F, check_sol_infty_zero(F, cfg), cfg)
 
 
 def _regular_value_estimate(
-    F: PolynomialMap, zero: ZeroConeReport, seed: int, cfg: SolveConfig
+    F: PolynomialMap, zero: ZeroConeReport, cfg: SolveConfig
 ) -> DegreeEstimate:
     """local_degree_min_map past its input checks, given F's zero-cone report."""
     if not zero.zero_only:
@@ -314,7 +311,7 @@ def _regular_value_estimate(
             "degree at the origin needs SOL(f_inf,0)={0}; "
             f"found nonzero solution {zero.witness}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, cfg)
     diag["assumptions"] = {"zero_only_samples": zero.samples, "one_sided": True}
     margins = [m for _, _, m in pre if np.isfinite(m)]
@@ -328,21 +325,21 @@ def _regular_value_estimate(
     )
 
 
-def tensor_degree(A: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -> DegreeEstimate:
+def tensor_degree(A: MapLike, cfg: SolveConfig = SolveConfig()) -> DegreeEstimate:
     """Degree of min{x, f_inf(x)} at the origin (requires SOL(f_inf,0)={0}).
 
-    Regular-value counting; in dim 2 the winding number is computed as well
-    and the two must agree.
+    Regular-value counting with cfg.seed, as local_degree_min_map; in dim 2
+    the winding number is computed as well and the two must agree.
     """
     F = leading_term(as_map(A))
-    return _winding_cross_check(F, local_degree_min_map(F, seed=seed, cfg=cfg), cfg)
+    return _winding_cross_check(F, local_degree_min_map(F, cfg), cfg)
 
 
 def _winding_cross_check(F: PolynomialMap, est: DegreeEstimate, cfg: SolveConfig) -> DegreeEstimate:
     """In dim 2, record the winding number of min{x, F(x)} in est and
     raise unless it equals the regular-value degree."""
     if F.dim == 2:
-        w = winding_degree_2d(F, radius=1.0, tols=cfg.tolerances)
+        w = winding_degree_2d(F, cfg.tolerances)
         est.diagnostics["winding"] = w
         est.diagnostics["methods_agree"] = w == est.value
         if w != est.value:
@@ -398,7 +395,6 @@ def homotopy_invariance_check(
     q=None,
     d=None,
     interpolate: str = "full",
-    seed: int = 0,
     cfg: SolveConfig = SolveConfig(),
 ) -> HomotopyReport:
     """Track min-map roots along a homotopy and compare endpoint degrees.
@@ -411,14 +407,15 @@ def homotopy_invariance_check(
     Roots are tracked on an 11-point t grid; if any root crowds the search
     boundary the sweep re-runs with a doubled radius, and the report comes
     back inconclusive when that still fails. Endpoint degrees are computed
-    over a fixed region containing every tracked root.
+    over a fixed region containing every tracked root; the region's boundary
+    samples and regular values are drawn with cfg.seed.
     """
     fm = as_map(f)
     n = fm.dim
     lead = fm.leading
     lower = [T for o, T in fm.terms.items() if o != fm.order]
     tols = cfg.tolerances
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     t_grid = np.linspace(0.0, 1.0, 11)
 
     if mode == "to-leading-term":
@@ -536,34 +533,31 @@ class StabilityReport(Report):
     diagnostics: dict = field(default_factory=dict)
 
 
-def stability_radius_probe(
-    f: MapLike,
-    scales=(1e-4, 1e-3, 1e-2),
-    seed: int = 0,
-    cfg: SolveConfig = SolveConfig(),
-) -> StabilityReport:
+def stability_radius_probe(f: MapLike, scales=(1e-4, 1e-3, 1e-2),
+                           cfg: SolveConfig = SolveConfig()) -> StabilityReport:
     """Perturb the leading coefficients at growing scales and watch the
     invariants: zero solution cone and degree must survive. Requires the
-    unperturbed map to have SOL(f_inf,0)={0} and nonzero degree."""
+    unperturbed map to have SOL(f_inf,0)={0} and nonzero degree. The
+    perturbations and every check on them are drawn with cfg.seed."""
     fm = as_map(f)
-    base = tensor_degree(fm, seed=seed, cfg=cfg)
+    base = tensor_degree(fm, cfg)
     if base.value == 0:
         raise InvalidInputError("stability probe needs a nonzero base degree")
     lead = fm.leading
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     per_scale = []
     largest = None
     for s in sorted(scales):
         noise = rng.uniform(-1.0, 1.0, size=lead.coeffs.shape)
         # Only the leading term enters the zero cone and the degree.
         pert = PolynomialMap.from_tensor(Tensor(lead.coeffs + s * noise))
-        zero = check_sol_infty_zero(pert, seed=seed, cfg=cfg)
+        zero = check_sol_infty_zero(pert, cfg)
         entry = {"scale": float(s), "zero_only": zero.zero_only, "degree": None,
                  "unchanged": False}
         if zero.zero_only:
             try:
                 dd = _winding_cross_check(
-                    pert, _regular_value_estimate(pert, zero, seed, cfg), cfg
+                    pert, _regular_value_estimate(pert, zero, cfg), cfg
                 )
                 entry["degree"] = dd.value
                 entry["unchanged"] = dd.value == base.value

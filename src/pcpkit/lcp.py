@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .degree import DegreeEstimate, _draw_p
+from .degree import _P_RETRIES, DegreeEstimate, _draw_p, _Retry
 from .errors import BudgetExhaustedError, DegenerateInputError, InvalidInputError
 from .tensor_core import Report
 
 __all__ = ["LcpInstance", "LcpResult", "lemke_solve", "lcp_enumerate", "lcp_degree"]
 
 _LEMKE_MAX_DIM = 50
+_LEMKE_MAX_PIVOTS = 10_000
 _ENUM_MAX_DIM = 12
 _ENUM_DEDUPE = 1e-8  # pattern solutions are exact; keep the dedupe tight
 
@@ -82,12 +83,12 @@ def _verify_lcp(M, q, x, tol) -> bool:
     )
 
 
-def lemke_solve(inst, q=None, max_pivots: int = 10_000) -> LcpResult:
+def lemke_solve(inst, q=None) -> LcpResult:
     """Lemke's method with covering vector e.
 
     The tableau carries the identity block of the starting basis, and the
     ratio test compares full lexicographic rows, so cycling is excluded.
-    Raises BudgetExhaustedError if the pivot budget runs out.
+    Raises BudgetExhaustedError after _LEMKE_MAX_PIVOTS pivots.
     """
     M, q, n = _check_mq(inst, q, _LEMKE_MAX_DIM)
     tol = 1e-10
@@ -120,7 +121,7 @@ def lemke_solve(inst, q=None, max_pivots: int = 10_000) -> LcpResult:
     pivot(r, Z0)
     entering = n + r  # z_r enters next
     pivots = 1
-    while pivots < max_pivots:
+    while pivots < _LEMKE_MAX_PIVOTS:
         d = T[:, entering]
         cand = np.nonzero(d > tol)[0]
         if cand.size == 0:
@@ -149,7 +150,7 @@ def lemke_solve(inst, q=None, max_pivots: int = 10_000) -> LcpResult:
                 diagnostics={"verified": bool(ok)},
             )
         entering = leaving + n if leaving < n else leaving - n
-    raise BudgetExhaustedError(f"lemke pivot budget {max_pivots} exhausted")
+    raise BudgetExhaustedError(f"lemke pivot budget {_LEMKE_MAX_PIVOTS} exhausted")
 
 
 def _hadamard_scale(B: np.ndarray) -> float:
@@ -213,7 +214,8 @@ def lcp_enumerate(inst, q=None, tols: Tolerances = DEFAULT_TOLERANCES) -> LcpRes
 
 
 def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> DegreeEstimate:
-    """Degree of min{x, Mx} at the origin by exact linear pattern solves.
+    """Degree of min{x, Mx} at the origin by exact linear pattern solves,
+    at a regular value drawn with seed.
 
     Requires LCP(M, 0) = {0}. For each branch pattern the piece is a linear
     system B x = p with B mixing identity and M rows; preimages are counted
@@ -236,7 +238,7 @@ def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> Degre
     rng = np.random.default_rng(seed)
     margin = tols.tie_margin
     last = "no attempts"
-    for _ in range(20):
+    for _ in range(_P_RETRIES):
         p = _draw_p(rng, n)
         candidates: list[np.ndarray] = []
         try:
@@ -252,7 +254,7 @@ def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> Degre
                         res = float(np.abs(B @ x - p).max())
                         if res > 1e-10 * (1 + float(np.abs(p).max())):
                             continue  # p not in range: pattern contributes nothing
-                        raise _LcpRetry("consistent singular pattern")
+                        raise _Retry("consistent singular pattern")
                     candidates.append(np.linalg.solve(B, p))
             preimages = []
             degree = 0
@@ -277,7 +279,7 @@ def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> Degre
                             ok = False
                             break
                         if b[i] <= margin:
-                            raise _LcpRetry("near-tie between branches")
+                            raise _Retry("near-tie between branches")
                         rows.append(("x",))
                         slacks.append(float(b[i]))
                     elif bf:
@@ -285,7 +287,7 @@ def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> Degre
                             ok = False
                             break
                         if a[i] <= margin:
-                            raise _LcpRetry("near-tie between branches")
+                            raise _Retry("near-tie between branches")
                         rows.append(("F",))
                         slacks.append(float(a[i]))
                     else:
@@ -302,12 +304,12 @@ def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> Degre
                             B[i, i] = 1.0
                     det = float(np.linalg.det(B))
                     if abs(det) <= tols.singular_det * _hadamard_scale(B):
-                        raise _LcpRetry("singular branch completion")
+                        raise _Retry("singular branch completion")
                     s = 1 if det > 0 else -1
                     if sign == 0:
                         sign = s
                     elif s != sign:
-                        raise _LcpRetry("tied branches disagree on orientation")
+                        raise _Retry("tied branches disagree on orientation")
                 preimages.append((x, sign))
                 degree += sign
                 for s in slacks:
@@ -320,11 +322,7 @@ def lcp_degree(M, seed: int = 0, tols: Tolerances = DEFAULT_TOLERANCES) -> Degre
                 tie_margin=min_slack,
                 diagnostics={"path": "linear-pattern-solves"},
             )
-        except _LcpRetry as e:
+        except _Retry as e:
             last = str(e)
             continue
-    raise DegenerateInputError(f"no regular value found in 20 draws (last: {last})")
-
-
-class _LcpRetry(Exception):
-    pass
+    raise DegenerateInputError(f"no regular value found in {_P_RETRIES} draws (last: {last})")

@@ -562,15 +562,16 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
     return U0, roots
 
 
-def check_sol_infty_zero(f: MapLike, seed: int = 0, cfg: SolveConfig = SolveConfig()) -> ZeroConeReport:
+def check_sol_infty_zero(f: MapLike, cfg: SolveConfig = SolveConfig()) -> ZeroConeReport:
     """Decide (by sampling + polish) whether min{u, f_inf(u)} = 0 forces u=0.
 
-    Samples the nonnegative unit sphere, polishes with semismooth Newton on
-    the homogeneous min map, normalizes any nonzero root back to the sphere
-    and re-verifies. The zero-only verdict is a one-sided certificate.
+    Samples the nonnegative unit sphere (random directions drawn with
+    cfg.seed), polishes with semismooth Newton on the homogeneous min map,
+    normalizes any nonzero root back to the sphere and re-verifies. The
+    zero-only verdict is a one-sided certificate.
     """
     U0, roots = _orthant_sphere_roots(
-        leading_term(as_map(f)), np.random.default_rng(seed), arc=41, levels=5,
+        leading_term(as_map(f)), np.random.default_rng(cfg.seed), arc=41, levels=5,
         extra=64, tol=max(1e-13, cfg.tolerances.root / 100.0), cfg=cfg,
         unique_starts=True,
     )
@@ -603,13 +604,16 @@ class BoundednessReport(Report):
 def boundedness_probe(f: MapLike, K, cfg: SolveConfig = SolveConfig()) -> BoundednessReport:
     """Evidence that the solution sets over q in K are uniformly bounded.
 
-    Requires the zero-only verdict on the leading term (the condition that
-    makes bounded sets plausible); solves each instance at the configured
-    radius and again at twice the radius, and checks that no solution
-    appears near the search boundary and the max norm stays put.
+    Requires a nonempty K and the zero-only verdict on the leading term (the
+    condition that makes bounded sets plausible); solves each instance at the
+    configured radius and again at twice the radius, and checks that no
+    solution appears near the search boundary and the max norm stays put.
     """
+    K = list(K)
+    if not K:
+        raise InvalidInputError("boundedness probe needs at least one q in K")
     F = as_map(f)
-    zero = check_sol_infty_zero(F, seed=cfg.seed, cfg=cfg)
+    zero = check_sol_infty_zero(F, cfg)
     if not zero.zero_only:
         raise InvalidInputError(
             "boundedness probe requires SOL(f_inf,0)={0}; "
@@ -691,10 +695,10 @@ def certify_unsolvable(
     """
     f, q, n = inst.map, inst.q, inst.dim
     box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != n or any(hi <= lo for lo, hi in box):
-        raise InvalidInputError("box must list (lo, hi) with lo < hi per axis")
-    if step <= 0:
-        raise InvalidInputError("grid step must be positive")
+    if len(box) != n or not all(-np.inf < lo < hi < np.inf for lo, hi in box):
+        raise InvalidInputError("box must list finite (lo, hi) with lo < hi per axis")
+    if not is_positive_real(step):
+        raise InvalidInputError(f"grid step must be a finite number > 0, got {step!r}")
     axes = []
     eff_step = 0.0
     for lo, hi in box:

@@ -75,7 +75,7 @@ def test_criterion_06_power_tensor_degree_matches_matrix():
                 continue
             k = 3 if done % 2 == 0 else 5
             da = lcp_degree(A, seed=done)
-            dt_deg = tensor_degree(matrix_power_tensor(A, k), seed=done)
+            dt_deg = tensor_degree(matrix_power_tensor(A, k), cfg=SolveConfig(seed=done))
             assert da.value == dt_deg.value, (A.tolist(), k, da.value, dt_deg.value)
             done += 1
     except BaseException:
@@ -185,14 +185,14 @@ def test_criterion_10_property_suites():
         inst = PcpInstance(cube, np.array([-1.0, -1.0]))
         pairs = [
             json.dumps(solve(inst, SolveConfig(seed=3)).to_json(), sort_keys=True),
-            json.dumps(tensor_degree(cube.leading, seed=3).to_json(), sort_keys=True),
-            json.dumps(is_R0(cube, seed=3).to_json(), sort_keys=True),
+            json.dumps(tensor_degree(cube.leading, cfg=SolveConfig(seed=3)).to_json(), sort_keys=True),
+            json.dumps(is_R0(cube, cfg=SolveConfig(seed=3)).to_json(), sort_keys=True),
             json.dumps(enumerate_solutions(inst).to_json(), sort_keys=True),
         ]
         rerun = [
             json.dumps(solve(inst, SolveConfig(seed=3)).to_json(), sort_keys=True),
-            json.dumps(tensor_degree(cube.leading, seed=3).to_json(), sort_keys=True),
-            json.dumps(is_R0(cube, seed=3).to_json(), sort_keys=True),
+            json.dumps(tensor_degree(cube.leading, cfg=SolveConfig(seed=3)).to_json(), sort_keys=True),
+            json.dumps(is_R0(cube, cfg=SolveConfig(seed=3)).to_json(), sort_keys=True),
             json.dumps(enumerate_solutions(inst).to_json(), sort_keys=True),
         ]
         assert pairs == rerun

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pcpkit import solver as solver_module
 from pcpkit.classify import (
@@ -15,7 +16,8 @@ from pcpkit.classify import (
     strong_q_probe,
 )
 from pcpkit.constructions import example_catalog
-from pcpkit.solver import SolveConfig
+from pcpkit.errors import InvalidInputError
+from pcpkit.solver import SolveConfig, boundedness_probe
 from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
 
 A1 = np.array([[-1.0, 1.0], [3.0, -2.0]])
@@ -167,6 +169,22 @@ def test_dual_interior_test():
     assert dual_interior_test(np.array([-1.0, 5.0]), S) == "outside"
     # empty cone: every q is interior to the dual
     assert dual_interior_test(np.array([-1.0, -1.0]), S0) == "interior"
+    for bad, cone in (([np.nan, 1.0], S), ([1.0, 1.0, 1.0], S), ([np.nan, 1.0], S0)):
+        with pytest.raises(InvalidInputError):
+            dual_interior_test(bad, cone)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: gus_probe(EX1, q_samples=[]),
+    lambda: strong_q_probe(EX1, trials=0),
+    lambda: strong_q_probe(EX1, trials=2.5),
+    lambda: strong_q_probe(EX1, trials=True),
+    lambda: boundedness_probe(CUBE, []),
+], ids=["gus-no-q", "strong-q-zero-trials", "strong-q-fractional-trials",
+        "strong-q-bool-trials", "boundedness-empty-K"])
+def test_probes_refuse_vacuous_input(probe):
+    with pytest.raises(InvalidInputError):
+        probe()
 
 
 def test_strong_q_sampling_path():

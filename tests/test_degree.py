@@ -65,8 +65,8 @@ def test_degree_refuses_non_r0_map():
 
 
 def test_degree_deterministic_per_seed():
-    da = tensor_degree(example1_tensor(), seed=3)
-    db = tensor_degree(example1_tensor(), seed=3)
+    da = tensor_degree(example1_tensor(), cfg=SolveConfig(seed=3))
+    db = tensor_degree(example1_tensor(), cfg=SolveConfig(seed=3))
     assert da.value == db.value
     assert np.allclose(da.regular_value, db.regular_value)
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -21,3 +22,18 @@ def test_declared_dependencies_match_the_package_imports():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in project["dependencies"]}
     assert third_party == declared == {"numpy"}
+
+
+def test_seed_and_knobs_have_one_source():
+    import pcpkit
+
+    params = {
+        name: set(inspect.signature(obj).parameters)
+        for name in pcpkit.__all__
+        if inspect.isfunction(obj := getattr(pcpkit, name))
+    }
+    assert [name for name, p in params.items() if {"seed", "cfg"} <= p] == []
+    assert [name for name, p in params.items() if "seed" in p] == ["lcp_degree"]
+    assert "restarts" not in params["is_strong_M"]
+    assert "max_pivots" not in params["lemke_solve"]
+    assert not {"radius", "samples"} & params["winding_degree_2d"]

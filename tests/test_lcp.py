@@ -4,6 +4,7 @@ import pytest
 from pcpkit.degree import tensor_degree
 from pcpkit.errors import InvalidInputError
 from pcpkit.lcp import LcpInstance, lcp_degree, lcp_enumerate, lemke_solve
+from pcpkit.solver import SolveConfig
 from pcpkit.tensor_core import Tensor
 
 A = np.array([[-1.0, 1.0], [3.0, -2.0]])
@@ -94,7 +95,8 @@ def test_degree_agreement_on_random_r0_matrices():
         z = lcp_enumerate(M, np.zeros(2))
         if z.non_isolated_suspected or len(z.solutions) != 1:
             continue
-        assert lcp_degree(M, seed=trial).value == tensor_degree(Tensor(M), seed=trial).value
+        cfg = SolveConfig(seed=trial)
+        assert lcp_degree(M, seed=trial).value == tensor_degree(Tensor(M), cfg=cfg).value
         match += 1
     assert match >= 6
 

@@ -164,6 +164,11 @@ def test_enumerate_respects_dimension_cap():
         c[i, i, i] = 1.0
     with pytest.raises(InvalidInputError):
         enumerate_solutions(PcpInstance(Tensor(c), -np.ones(5)))
+    # the degree reads the same cap as the enumerator
+    with pytest.raises(InvalidInputError, match="capped at dim 2"):
+        degree_module.tensor_degree(
+            matrix_power_tensor(np.eye(3), 3), cfg=SolveConfig(pattern_dim_cap=2)
+        )
 
 
 def test_solve_finds_far_out_solution():
@@ -220,6 +225,19 @@ def test_certify_unsolvable_reads_the_given_feasibility_tolerance():
     assert default.status == loose.status == "inconclusive"
     assert default.note == "margin not met"
     assert loose.note == "a grid point nearly solves the instance"
+
+
+@pytest.mark.parametrize("box, step", [
+    ([(0.0, 1.0)] * 2, np.nan),
+    ([(0.0, 1.0)] * 2, np.inf),
+    ([(0.0, np.nan), (0.0, 1.0)], 0.1),
+    ([(0.0, np.inf), (0.0, 1.0)], 0.1),
+    ([(-np.inf, 1.0), (0.0, 1.0)], 0.1),
+])
+def test_certify_unsolvable_refuses_non_finite_step_or_box(box, step):
+    inst = PcpInstance(diag_cube(), -np.ones(2))
+    with pytest.raises(InvalidInputError):
+        certify_unsolvable(inst, box, step)
 
 
 def test_certify_unsolvable_blocks_match_one_batch():
