@@ -122,6 +122,10 @@ def is_R0(A: MapLike, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
     )
 
 
+# Seeded random d > 0 that is_R tries after e and before the caller's candidates.
+_R_RANDOM_CANDIDATES = 200
+
+
 def _r_search_one_d(F: PolynomialMap, d: np.ndarray, cfg: SolveConfig):
     """First nonzero solution of min{x, F(x)+d} inside the radius, or None.
 
@@ -136,11 +140,10 @@ def _r_search_one_d(F: PolynomialMap, d: np.ndarray, cfg: SolveConfig):
     return None
 
 
-def is_R(A: MapLike, cfg: SolveConfig = SolveConfig(), d_candidates=(),
-         n_random: int = 200) -> ClassVerdict:
+def is_R(A: MapLike, cfg: SolveConfig = SolveConfig(), d_candidates=()) -> ClassVerdict:
     """R-property: R0 and SOL(f_inf, d) = {0} for some d > 0.
 
-    Searches d over e, n_random positive vectors drawn with cfg.seed, then
+    Searches d over e, _R_RANDOM_CANDIDATES positive vectors drawn with cfg.seed, then
     any user-supplied candidates; the first d that survives the light sweep
     is re-verified with the full enumerator.
     """
@@ -158,7 +161,7 @@ def is_R(A: MapLike, cfg: SolveConfig = SolveConfig(), d_candidates=(),
         )
     rng = np.random.default_rng(cfg.seed)
     cands = [np.ones(F.dim)]
-    cands += [rng.uniform(0.05, 3.0, size=F.dim) for _ in range(n_random)]
+    cands += [rng.uniform(0.05, 3.0, size=F.dim) for _ in range(_R_RANDOM_CANDIDATES)]
     cands += user_ds
     first_witness = None
     tested = 0
@@ -718,7 +721,7 @@ def sol_cone_sample(F: MapLike, cfg: SolveConfig = SolveConfig()) -> ConeSample:
     invariant under positive scaling."""
     _, roots = _orthant_sphere_roots(
         leading_term(as_map(F)), np.random.default_rng(cfg.seed), arc=181, levels=7,
-        extra=128, tol=1e-13, cfg=cfg,
+        extra=128, tol=1e-13, tols=cfg.tolerances,
     )
     gens: list[np.ndarray] = []
     residuals: list[float] = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, is_positive_real
 from .errors import DegenerateInputError, InvalidInputError, PcpKitError
 from .solver import (
     SolveConfig,
@@ -36,7 +36,16 @@ from .solver import (
     check_sol_infty_zero,
     enumerate_solutions,
 )
-from .tensor_core import MapLike, PcpInstance, PolynomialMap, Report, Tensor, as_map, leading_term
+from .tensor_core import (
+    MapLike,
+    PcpInstance,
+    PolynomialMap,
+    Report,
+    Tensor,
+    _as_vector,
+    as_map,
+    leading_term,
+)
 
 __all__ = [
     "DegreeEstimate",
@@ -132,7 +141,7 @@ def _classify_preimage(F, q: np.ndarray, p: np.ndarray, x: np.ndarray, tols: Tol
     return sign, (min(slacks) if slacks else float("inf"))
 
 
-def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, cfg: SolveConfig,
+def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, tols: Tolerances,
                   per_axis: int = 7):
     """Preimages of p under min{x, F(x)+q} in the sup-norm ball of the given
     radius, as sorted (x, sign, slack).
@@ -144,13 +153,11 @@ def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, cfg: SolveConf
     pieces are classified together.
     """
     n = F.dim
-    tols = cfg.tolerances
     pieces = [tuple(i for i in range(n) if i not in alpha)
               for size in range(n) for alpha in itertools.combinations(range(n), size)]
     X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-radius / 8.0, radius, per_axis))
     X, converged, rn, _ = _newton_batch(
-        F, q, X0, tol=1e-13, max_iters=80, armijo_factor=cfg.armijo_factor,
-        max_halvings=cfg.max_halvings, box_cap=max(64.0, 4 * radius), beta=beta, p=p,
+        F, q, X0, tol=1e-13, box_cap=max(64.0, 4 * radius), beta=beta, p=p, max_iters=80
     )
     inside = converged & (rn <= tols.root) & (np.abs(X).max(axis=1) <= radius * (1 + 1e-9))
     candidates: list[np.ndarray] = []
@@ -192,7 +199,7 @@ def _regular_value_degree(
     F: PolynomialMap,
     q: np.ndarray,
     rng,
-    cfg: SolveConfig,
+    tols: Tolerances,
     fixed_radius: float | None = None,
     boundary_samples: np.ndarray | None = None,
 ) -> tuple:
@@ -212,16 +219,16 @@ def _regular_value_degree(
                     ).max(axis=1)
                     if float(gb.min()) < 10.0 * float(np.abs(p).max()):
                         raise _Retry("map too small on the region boundary")
-                pre = _preimage_set(F, q, p, fixed_radius, cfg)
+                pre = _preimage_set(F, q, p, fixed_radius, tols)
                 if any(np.abs(x).max() > 0.9 * fixed_radius for x, _, _ in pre):
                     raise _Retry("preimage near the region boundary")
                 diag = {"radius": fixed_radius, "stabilized": True}
             else:
                 radius = 1.0
-                pre = _preimage_set(F, q, p, radius, cfg)
+                pre = _preimage_set(F, q, p, radius, tols)
                 stabilized = False
                 while radius < _BALL_CAP:
-                    bigger = _preimage_set(F, q, p, 2 * radius, cfg)
+                    bigger = _preimage_set(F, q, p, 2 * radius, tols)
                     if _sets_match(pre, bigger):
                         stabilized = True
                         break
@@ -312,7 +319,7 @@ def _regular_value_estimate(
             f"found nonzero solution {zero.witness}"
         )
     rng = np.random.default_rng(cfg.seed)
-    deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, cfg)
+    deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, cfg.tolerances)
     diag["assumptions"] = {"zero_only_samples": zero.samples, "one_sided": True}
     margins = [m for _, _, m in pre if np.isfinite(m)]
     return DegreeEstimate(
@@ -430,7 +437,7 @@ def homotopy_invariance_check(
     elif mode == "karamardian":
         if d is None:
             raise InvalidInputError("karamardian mode needs a positive vector d")
-        d = np.asarray(d, dtype=np.float64)
+        d = _as_vector(d, n, "d")
         if d.min() <= 0:
             raise InvalidInputError("d must be strictly positive")
         if interpolate not in ("full", "leading"):
@@ -494,7 +501,7 @@ def homotopy_invariance_check(
 
     def region_degree(fmap_t, q_t):
         deg, _, _, _ = _regular_value_degree(
-            fmap_t, q_t, rng, cfg, fixed_radius=omega, boundary_samples=bsamp
+            fmap_t, q_t, rng, tols, fixed_radius=omega, boundary_samples=bsamp
         )
         return deg
 
@@ -539,6 +546,9 @@ def stability_radius_probe(f: MapLike, scales=(1e-4, 1e-3, 1e-2),
     invariants: zero solution cone and degree must survive. Requires the
     unperturbed map to have SOL(f_inf,0)={0} and nonzero degree. The
     perturbations and every check on them are drawn with cfg.seed."""
+    scales = list(scales)
+    if not scales or not all(is_positive_real(s) for s in scales):
+        raise InvalidInputError(f"scales must be finite numbers > 0, at least one, got {scales}")
     fm = as_map(f)
     base = tensor_degree(fm, cfg)
     if base.value == 0:

@@ -49,14 +49,7 @@ __all__ = [
 
 
 # Least value of each integer field of SolveConfig.
-_COUNT_MINIMA = {
-    "seed": 0,
-    "multistart": 0,
-    "newton_max_iters": 0,
-    "max_halvings": 0,
-    "grid_per_axis": 1,
-    "pattern_dim_cap": 0,
-}
+_COUNT_MINIMA = {"seed": 0, "grid_per_axis": 1, "pattern_dim_cap": 0}
 
 
 @dataclass(frozen=True)
@@ -64,11 +57,7 @@ class SolveConfig:
     """Knobs for the Newton solvers. seed fixes every random draw."""
 
     seed: int = 0
-    multistart: int = 64
     search_radius: float = 10.0
-    newton_max_iters: int = 100
-    armijo_factor: float = 0.5
-    max_halvings: int = 30
     grid_per_axis: int = 9
     pattern_dim_cap: int = 4
     confirm_grid: bool = True
@@ -82,10 +71,6 @@ class SolveConfig:
         if not is_positive_real(self.search_radius):
             raise InvalidInputError(
                 f"search_radius must be a finite number > 0, got {self.search_radius!r}"
-            )
-        if not (is_positive_real(self.armijo_factor) and self.armijo_factor < 1):
-            raise InvalidInputError(
-                f"armijo_factor must be in (0,1), got {self.armijo_factor!r}"
             )
         if not isinstance(self.confirm_grid, bool):
             raise InvalidInputError(
@@ -134,6 +119,11 @@ class SolveReport(Report):
 _LADDER_ROWS = 256
 # Most rows per kernel call: kernel temporaries grow with the rows.
 _KERNEL_ROWS = 4096
+# The engine's step rule: Newton iterations per run, the Armijo step
+# lengths 1, 1/2, ..., 2^-30, and the seeded random starts of solve.
+_NEWTON_ITERS = 100
+_STEP_LADDER = 0.5 ** np.arange(31)
+_MULTISTART = 64
 
 
 def _blockwise(fn, X: np.ndarray) -> np.ndarray:
@@ -167,9 +157,9 @@ def _solve_rows(J: np.ndarray, r: np.ndarray, k: np.ndarray, off, singular_tol: 
     return d
 
 
-def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, max_iters: int,
-                  armijo_factor: float, max_halvings: int, box_cap: float,
-                  beta: np.ndarray | None = None, p: np.ndarray | None = None):
+def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, box_cap: float,
+                  beta: np.ndarray | None = None, p: np.ndarray | None = None,
+                  max_iters: int = _NEWTON_ITERS):
     """Damped semismooth Newton from all rows of X0 at once.
 
     Without beta the rows solve min{x, f(x)+q} = 0. With a (B, n) boolean
@@ -179,7 +169,7 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, max_iters: int,
     det J_(beta_b, beta_b), and the singular-scale exponent is |beta_b|.
 
     Armijo backtracking on the squared residual as a step ladder: the
-    lengths 1, a, a^2, ..., a^max_halvings of all refused rows are tried
+    lengths of _STEP_LADDER, read at call time, of all refused rows are tried
     together, as many per kernel call as fit in _LADDER_ROWS rows, and each
     row takes its first acceptable one -- the rule of halving one at a
     time. Converged rows freeze; rows with no acceptable step die. Returns
@@ -211,7 +201,6 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, max_iters: int,
         J[bi, ci, ci] = 1.0
         return J
 
-    steps = np.cumprod(np.r_[1.0, np.full(max_halvings, armijo_factor)])
     r, Y = residual(X, np.arange(B))
     rn = np.abs(r).max(axis=1)
     converged = rn <= tol
@@ -228,9 +217,9 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, max_iters: int,
         theta0 = np.einsum("bi,bi->b", ra, ra)
         accepted = np.zeros(act.size, dtype=bool)
         h = 0
-        while h < steps.size and not accepted.all():
+        while h < _STEP_LADDER.size and not accepted.all():
             trial = np.nonzero(~accepted)[0]
-            ts = steps[h : h + max(1, _LADDER_ROWS // trial.size)]
+            ts = _STEP_LADDER[h : h + max(1, _LADDER_ROWS // trial.size)]
             h += ts.size
             Xt = np.clip(Xa[trial] + ts[:, None, None] * d[trial], -box_cap, box_cap).reshape(-1, n)
             rt, Yt = residual(Xt, np.tile(act[trial], ts.size))
@@ -346,7 +335,7 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     """First verified solution by multistart semismooth Newton on the min map.
 
     Starts: the origin, the heuristic seed max(0,-q)^{[1/(m-1)]} (signed real
-    root for even m-1), and cfg.multistart seeded uniform points in
+    root for even m-1), and _MULTISTART seeded uniform points in
     [0, search_radius]^n. Falls back to pattern-system seeding before giving
     up, when the dimension is within cfg.pattern_dim_cap; returns
     budget-exhausted when nothing verifies.
@@ -361,13 +350,11 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
         [
             np.zeros(n),
             heur,
-            rng.uniform(0.0, cfg.search_radius, size=(cfg.multistart, n)),
+            rng.uniform(0.0, cfg.search_radius, size=(_MULTISTART, n)),
         ]
     )
     X, converged, rn, iters = _newton_batch(
-        f, q, starts, tol=max(1e-13, tols.root / 100.0), max_iters=cfg.newton_max_iters,
-        armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings,
-        box_cap=10.0 * cfg.search_radius,
+        f, q, starts, tol=max(1e-13, tols.root / 100.0), box_cap=10.0 * cfg.search_radius
     )
     diagnostics = {
         "backend": backend_name(),
@@ -423,9 +410,7 @@ def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
     pieces = [a for size in range(1, n + 1) for a in itertools.combinations(range(n), size)]
     X0, beta, offsets = _stack_pieces(np.zeros(n), pieces, np.linspace(0.0, R, per_axis))
     X, converged, rn, _ = _newton_batch(
-        f, q, X0, tol=max(1e-13, tols.root / 100.0), max_iters=cfg.newton_max_iters,
-        armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings, box_cap=4.0 * R,
-        beta=beta, p=np.zeros(n),
+        f, q, X0, tol=max(1e-13, tols.root / 100.0), box_cap=4.0 * R, beta=beta, p=np.zeros(n)
     )
     # residual-based acceptance, floored by the evaluation noise at each
     # point; the converged flag alone would drop roots whose noise floor
@@ -524,15 +509,15 @@ class ZeroConeReport(Report):
 
 
 def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
-                          cfg: SolveConfig, unique_starts: bool = False):
+                          tols: Tolerances, unique_starts: bool = False):
     """Nonzero roots of min{u, F(u)} = 0 from nonnegative unit starts.
 
     Starts: arc angles on the quarter circle (dim 2) or the normalized points
     of {0..levels-1}^n minus the origin, then extra seeded random directions;
     unique_starts merges starts within 1e-9. Semismooth Newton polishes every
-    start to tol in at most cfg.newton_max_iters iterations; each converged root of norm above 1e-6 is normalized back
+    start to tol; each converged root of norm above 1e-6 is normalized back
     onto the sphere and kept, in start order, as (start, u, residual) when
-    its residual is within the feasibility tolerance. Returns (starts, roots).
+    its residual is within tols.feasibility. Returns (starts, roots).
     """
     n = F.dim
     if n == 2:
@@ -546,10 +531,7 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
     U0 = np.vstack([U0, r / np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1e-12)])
     if unique_starts:
         U0 = np.array(_dedupe(list(U0), 1e-9))
-    X, converged, _, _ = _newton_batch(
-        F, np.zeros(n), U0, tol=tol, max_iters=cfg.newton_max_iters,
-        armijo_factor=cfg.armijo_factor, max_halvings=cfg.max_halvings, box_cap=100.0,
-    )
+    X, converged, _, _ = _newton_batch(F, np.zeros(n), U0, tol=tol, box_cap=100.0)
     roots = []
     for b in np.nonzero(converged)[0]:
         nrm = float(np.linalg.norm(X[b]))
@@ -557,7 +539,7 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
             continue
         u = np.maximum(X[b] / nrm, 0.0)
         res = float(np.abs(np.minimum(u, F.eval(u))).max())
-        if res <= cfg.tolerances.feasibility:
+        if res <= tols.feasibility:
             roots.append((U0[b], u, res))
     return U0, roots
 
@@ -572,7 +554,7 @@ def check_sol_infty_zero(f: MapLike, cfg: SolveConfig = SolveConfig()) -> ZeroCo
     """
     U0, roots = _orthant_sphere_roots(
         leading_term(as_map(f)), np.random.default_rng(cfg.seed), arc=41, levels=5,
-        extra=64, tol=max(1e-13, cfg.tolerances.root / 100.0), cfg=cfg,
+        extra=64, tol=max(1e-13, cfg.tolerances.root / 100.0), tols=cfg.tolerances,
         unique_starts=True,
     )
     if roots:

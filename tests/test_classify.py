@@ -16,6 +16,7 @@ from pcpkit.classify import (
     strong_q_probe,
 )
 from pcpkit.constructions import example_catalog
+from pcpkit.degree import stability_radius_probe
 from pcpkit.errors import InvalidInputError
 from pcpkit.solver import SolveConfig, boundedness_probe
 from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
@@ -180,8 +181,9 @@ def test_dual_interior_test():
     lambda: strong_q_probe(EX1, trials=2.5),
     lambda: strong_q_probe(EX1, trials=True),
     lambda: boundedness_probe(CUBE, []),
+    lambda: stability_radius_probe(EX1, scales=()),
 ], ids=["gus-no-q", "strong-q-zero-trials", "strong-q-fractional-trials",
-        "strong-q-bool-trials", "boundedness-empty-K"])
+        "strong-q-bool-trials", "boundedness-empty-K", "stability-no-scales"])
 def test_probes_refuse_vacuous_input(probe):
     with pytest.raises(InvalidInputError):
         probe()
@@ -233,18 +235,3 @@ def test_property_table_refuses_coefficient_checks_on_mixed_maps():
     assert property_check("z")(PolynomialMap([CUBE]), SolveConfig()).verdict == "holds"
     with pytest.raises(InvalidInputError, match="unknown property"):
         property_check("z-leading")
-
-
-def test_solve_config_reaches_the_r_search_newton(monkeypatch):
-    engine = solver_module._newton_batch
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append((kwargs["armijo_factor"], kwargs["max_halvings"], kwargs["max_iters"]))
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "_newton_batch", spy)
-    cfg = SolveConfig(armijo_factor=0.25, max_halvings=12, newton_max_iters=50)
-    assert is_R(CUBE, n_random=0, cfg=cfg).verdict == "holds-up-to-sampling"
-    # the zero-cone sampling polishes with the same settings as the R search
-    assert seen and set(seen) == {(0.25, 12, 50)}

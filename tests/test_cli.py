@@ -295,7 +295,35 @@ def test_cli_p_verdict_is_strict_json(tmp_path, capsys):
     assert np.max((x - y) * (f.eval(x) - f.eval(y))) <= 0.0
 
 
+_EYE2 = {"dim": 2, "order": 2,
+         "entries": [{"idx": [1, 1], "val": 1.0}, {"idx": [2, 2], "val": 1.0}]}
+# Files the JSON readers refuse: (--tensor/--map/--instance, content, error text).
+_BAD_FILES = {
+    "tensor-missing-entries": ("tensor", {"dim": 2, "order": 2}, "missing field 'entries'"),
+    "tensor-entries-not-a-list": ("tensor", {**_EYE2, "entries": {}}, "entries must be a list"),
+    "tensor-short-idx": ("tensor", {**_EYE2, "entries": [{"idx": [1], "val": 1.0}]},
+                         "idx must list 2 indices"),
+    "tensor-duplicate-idx": ("tensor", {**_EYE2, "entries": [{"idx": [1, 1], "val": 1.0}] * 2},
+                             "duplicate idx [1, 1]"),
+    "tensor-string-val": ("tensor", {**_EYE2, "entries": [{"idx": [1, 1], "val": "a"}]},
+                          "non-numeric val"),
+    "tensor-nan-val": ("tensor", {**_EYE2, "entries": [{"idx": [1, 1], "val": float("nan")}]},
+                       "non-finite val"),
+    "map-mixed-dims": ("map", {"dim": 2, "terms": [_EYE2, {"dim": 3, "order": 3, "entries": []}]},
+                       "terms[1] has dim 3, expected 2"),
+    "map-no-order-two-term": ("map", {"dim": 2, "terms": [{"dim": 2, "order": 1, "entries": []}]},
+                              "needs at least one term of order >= 2"),
+    "instance-short-q": ("instance", {"dim": 2, "map": {"dim": 2, "terms": [_EYE2]}, "q": [1.0]},
+                         "q must have length 2"),
+}
+
+
 def _malformed_argv(case, tmp_path):
+    if case in _BAD_FILES:
+        kind, obj, _ = _BAD_FILES[case]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(obj))
+        return ["solve", f"--{kind}", str(path)] + ([] if kind == "instance" else ["--q", "[1, 1]"])
     sq = tmp_path / "sq.json"
     sq.write_text(json.dumps(tensor_to_json(Tensor(np.eye(2)))))
     if case == "truncated-q-file":
@@ -321,7 +349,7 @@ def _malformed_argv(case, tmp_path):
     if case == "jacobian-fd-config":
         (tmp_path / "cfg.json").write_text(json.dumps({"tolerances": {"jacobian_fd": 1e-5}}))
         return ["--config", str(tmp_path / "cfg.json"), "solve", "--tensor", str(sq), "--q", "[1, 1]"]
-    assert case == "negative-halvings-config"
+    assert case == "negative-halvings-config"  # a removed engine key: unknown field
     (tmp_path / "cfg.json").write_text(json.dumps({"max_halvings": -1}))
     return ["--config", str(tmp_path / "cfg.json"), "solve", "--tensor", str(sq), "--q", "[1, 1]"]
 
@@ -329,7 +357,7 @@ def _malformed_argv(case, tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["truncated-q-file", "string-q-file", "string-q-instance", "ragged-matrix",
-     "negative-halvings-config", "fractional-order-tensor", "jacobian-fd-config"],
+     "negative-halvings-config", "fractional-order-tensor", "jacobian-fd-config", *_BAD_FILES],
 )
 def test_malformed_input_exits_two(case, tmp_path, capsys):
     rc = cli.main(_malformed_argv(case, tmp_path))
@@ -337,6 +365,8 @@ def test_malformed_input_exits_two(case, tmp_path, capsys):
     assert rc == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if case in _BAD_FILES:
+        assert _BAD_FILES[case][2] in lines[0]
 
 
 def test_classify_checks_every_name_before_running(tmp_path, capsys, monkeypatch):

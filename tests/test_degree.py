@@ -117,20 +117,49 @@ def test_stability_probe_checks_each_zero_cone_once(monkeypatch):
     assert len(calls) == 4
 
 
-def test_solve_config_reaches_the_preimage_newton(monkeypatch):
-    engine = degree_module._newton_batch
-    seen = []
+def test_tie_at_a_preimage_redraws_p(monkeypatch):
+    # |p_1| = 1e-7 is below tie_margin: the preimage p itself has both
+    # branches of index 1 within the margin, so the draw is refused
+    draw = degree_module._draw_p
+    draws = []
 
-    def spy(*args, **kwargs):
-        seen.append((kwargs["armijo_factor"], kwargs["max_halvings"]))
-        return engine(*args, **kwargs)
+    def tie_first(rng, n):
+        draws.append(np.array([1e-7, 5e-3]) if not draws else draw(rng, n))
+        return draws[-1]
 
-    monkeypatch.setattr(degree_module, "_newton_batch", spy)
-    cfg = SolveConfig(armijo_factor=0.25, max_halvings=12)
-    local_degree_min_map(example1_tensor(), cfg=cfg)
-    f = PolynomialMap([diag_cube(), Tensor(0.5 * np.eye(2))])
-    homotopy_invariance_check(f, "to-leading-term", q=np.array([-1.0, -1.0]), cfg=cfg)
-    assert seen and set(seen) == {(0.25, 12)}
+    preimages = degree_module._preimage_set
+    reasons = []
+
+    def recording(*args, **kwargs):
+        try:
+            return preimages(*args, **kwargs)
+        except degree_module._Retry as e:
+            reasons.append(str(e))
+            raise
+
+    monkeypatch.setattr(degree_module, "_draw_p", tie_first)
+    monkeypatch.setattr(degree_module, "_preimage_set", recording)
+    est = local_degree_min_map(diag_cube())
+    assert reasons == ["near-tie between branches at a preimage"]
+    assert len(draws) == 2 and np.array_equal(est.regular_value, draws[1])
+    assert est.value == 1
+
+
+def test_winding_bisects_coarse_arcs(monkeypatch):
+    # four samples leave arcs turning by pi/2 or more, which are bisected
+    monkeypatch.setattr(degree_module, "_WINDING_SAMPLES", 4)
+    assert winding_degree_2d(example1_tensor()) == -1
+    assert winding_degree_2d(diag_cube()) == 1
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: stability_radius_probe(example1_tensor(), scales=()), "scales"),
+    (lambda: stability_radius_probe(example1_tensor(), scales=(float("nan"),)), "scales"),
+    (lambda: homotopy_invariance_check(diag_cube(), "karamardian", d=[float("nan"), 1.0]), "d"),
+], ids=["empty-scales", "nan-scale", "nan-d"])
+def test_input_errors_name_the_argument(call, name):
+    with pytest.raises(InvalidInputError, match=rf"^{name} "):
+        call()
 
 
 def test_degree_kernel_call_budget(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import re
 import sys
@@ -26,6 +27,7 @@ def test_declared_dependencies_match_the_package_imports():
 
 def test_seed_and_knobs_have_one_source():
     import pcpkit
+    from pcpkit import solver
 
     params = {
         name: set(inspect.signature(obj).parameters)
@@ -37,3 +39,10 @@ def test_seed_and_knobs_have_one_source():
     assert "restarts" not in params["is_strong_M"]
     assert "max_pivots" not in params["lemke_solve"]
     assert not {"radius", "samples"} & params["winding_degree_2d"]
+    assert "n_random" not in params["is_R"]
+    # the engine owns its step rule; the config keeps the values callers vary
+    assert [f.name for f in dataclasses.fields(pcpkit.SolveConfig)] == [
+        "seed", "search_radius", "grid_per_axis", "pattern_dim_cap", "confirm_grid", "tolerances"
+    ]
+    engine = set(inspect.signature(solver._newton_batch).parameters)
+    assert not {"armijo_factor", "max_halvings"} & engine

@@ -426,7 +426,9 @@ def _assert_same_run(got, ref):
 
 
 @pytest.mark.parametrize("max_halvings", [30, 0])
-def test_step_ladder_matches_sequential_halving(max_halvings):
+def test_step_ladder_matches_sequential_halving(max_halvings, monkeypatch):
+    if max_halvings == 0:
+        monkeypatch.setattr(solver_module, "_STEP_LADDER", np.array([1.0]))
     seen = {"converged": 0, "dead": 0, "halvings": 0}
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -434,9 +436,9 @@ def test_step_ladder_matches_sequential_halving(max_halvings):
         f, q = _RowwiseCubic(rng, n), rng.normal(size=n)
         # starts near and far, so that rows converge, backtrack and die
         X0 = np.vstack([np.zeros(n), rng.uniform(-1, 1, (30, n)), rng.uniform(-8, 8, (30, n))])
-        kw = dict(tol=1e-13, max_iters=40, armijo_factor=0.5, max_halvings=max_halvings,
-                  box_cap=50.0)
-        ref = _halving_reference(*_minmap_reference_fns(f, q), X0, **kw)
+        kw = dict(tol=1e-13, max_iters=40, box_cap=50.0)
+        ref = _halving_reference(*_minmap_reference_fns(f, q), X0, armijo_factor=0.5,
+                                 max_halvings=max_halvings, **kw)
         _assert_same_run(_newton_batch(f, q, X0, **kw), ref)
         seen["converged"] += int(ref[1].sum())
         seen["dead"] += int(ref[4].sum())
@@ -450,7 +452,7 @@ def test_masked_pieces_match_their_own_systems():
     n = 4
     f, q, p = _random_cubic(rng, n), rng.normal(size=n), rng.normal(scale=1e-2, size=n)
     pieces = [(0,), (1, 3), (0, 2, 3), (0, 1, 2, 3)]
-    kw = dict(tol=1e-13, max_iters=40, armijo_factor=0.5, max_halvings=30, box_cap=50.0)
+    kw = dict(tol=1e-13, max_iters=40, box_cap=50.0)
     X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-2.0, 2.0, 5))
     X, converged, rn, _ = _newton_batch(f, q, X0, beta=beta, p=p, **kw)
     # off the mask every returned row still holds p, bit for bit
@@ -462,12 +464,33 @@ def test_masked_pieces_match_their_own_systems():
     for j, b in enumerate(pieces):
         rows = slice(offsets[j], offsets[j + 1])
         alone = _newton_batch(f, q, X0[rows], beta=beta[rows], p=p, **kw)
-        ref = _halving_reference(*_piece_reference_fns(f, q, b, p), X0[rows][:, list(b)], **kw)
+        ref = _halving_reference(*_piece_reference_fns(f, q, b, p), X0[rows][:, list(b)],
+                                 armijo_factor=0.5, max_halvings=30, **kw)
         assert alone[3] == ref[3]
         c = ref[1]
         assert np.array_equal(alone[1], c) and np.array_equal(converged[rows], c)
         for got in (alone[0], X[rows]):
             assert np.abs(got[c][:, list(b)] - ref[0][c]).max() <= 1e-12 * (1.0 + np.abs(ref[0]).max())
+
+
+def test_row_blocks_match_one_block(monkeypatch):
+    # an n = 4 enumeration sweep spans several _KERNEL_ROWS blocks; the same
+    # split, forced here on small batches, must not change a run beyond the
+    # last bits that BLAS may vary with the batch size
+    rng = np.random.default_rng(7)
+    f, q = _random_cubic(rng, 3), rng.normal(size=3)
+    X0 = np.vstack([np.zeros(3), rng.uniform(-4, 4, (60, 3))])
+    # the cube of 2 ee^T - I has all seven nonzero LCP solutions
+    inst = PcpInstance(PolynomialMap([matrix_power_tensor(2.0 - np.eye(3), 3)]), -np.ones(3))
+    want_run = _newton_batch(f, q, X0, tol=1e-13, box_cap=50.0)
+    want = enumerate_solutions(inst)
+    monkeypatch.setattr(solver_module, "_KERNEL_ROWS", 7)
+    _assert_same_run(_newton_batch(f, q, X0, tol=1e-13, box_cap=50.0), want_run)
+    got = enumerate_solutions(inst)
+    assert got.completeness == want.completeness == "certified-complete"
+    assert len(got.solutions) == len(want.solutions) == 7
+    for x, y in zip(got.solutions, want.solutions):
+        assert np.abs(x - y).max() <= 1e-12 * (1.0 + np.abs(y).max())
 
 
 def test_stacked_least_squares_matches_lstsq():
@@ -532,7 +555,7 @@ def _preimage_cases():
 
 def _preimages_or_retry(F, q, p):
     try:
-        return degree_module._preimage_set(F, q, p, 2.0, SolveConfig())
+        return degree_module._preimage_set(F, q, p, 2.0, Tolerances())
     except degree_module._Retry as e:
         return str(e)
 
@@ -573,16 +596,12 @@ def test_tolerances_must_be_finite_positive_numbers(value):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("multistart", 2.5),
         ("seed", "1"),
-        ("newton_max_iters", True),
         ("seed", -1),
-        ("max_halvings", -1),
         ("grid_per_axis", 0),
         ("confirm_grid", "no"),
         ("confirm_grid", 1),
         ("search_radius", float("nan")),
-        ("armijo_factor", 1.0),
     ],
 )
 def test_solve_config_rejects_bad_values(field, value):
@@ -591,6 +610,6 @@ def test_solve_config_rejects_bad_values(field, value):
 
 
 def test_solve_config_accepts_its_edge_values():
-    cfg = SolveConfig(seed=np.int64(3), multistart=0, max_halvings=0, grid_per_axis=1,
+    cfg = SolveConfig(seed=np.int64(3), grid_per_axis=1, pattern_dim_cap=0,
                       confirm_grid=False, tolerances=Tolerances(feasibility=1e-30))
-    assert cfg.max_halvings == 0 and cfg.grid_per_axis == 1
+    assert cfg.grid_per_axis == 1 and cfg.pattern_dim_cap == 0
