@@ -117,7 +117,8 @@ class SolveReport(Report):
 # Rows per kernel call of the Armijo step ladder; a batch larger than this
 # tries one step length per call.
 _LADDER_ROWS = 256
-# Most rows per kernel call: kernel temporaries grow with the rows.
+# Most rows per kernel call. A call's temporaries are (rows, M) product
+# tables, M <= C(n+m-2, m-1) being a tensor's distinct monomials.
 _KERNEL_ROWS = 4096
 # The engine's step rule: Newton iterations per run, the Armijo step
 # lengths 1, 1/2, ..., 2^-30, and the seeded random starts of solve.

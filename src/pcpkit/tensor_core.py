@@ -7,7 +7,10 @@ shape (n,)*m. Applying it to x in R^n contracts the trailing m-1 axes:
 
     (T x^{m-1})_i = sum over (i2,...,im) of T[i, i2, ..., im] x_{i2} ... x_{im}
 
-No symmetrization is applied; evaluation always sums over all index tuples.
+The coefficients are stored as given, but the map sees only their sums over
+permutations of the trailing indices: evaluation compiles each tensor once to
+its distinct monomials (see _core_numpy), and is_zero() asks whether the map,
+not the array, vanishes.
 An order-1 tensor is a constant vector, an order-2 tensor is a matrix acting
 as usual.
 
@@ -117,7 +120,9 @@ class Tensor:
         return self._kernel.jacobian(np.atleast_2d(np.asarray(X, dtype=np.float64)))
 
     def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
+        """True when x -> T x^{m-1} vanishes identically: every monomial's
+        coefficient, summed over permutations of the trailing indices, is 0."""
+        return self._kernel.C.shape[0] == 0
 
     def __eq__(self, other):
         return (
@@ -162,7 +167,10 @@ class PolynomialMap:
             by_order[t.order] = t
         top = max(by_order)
         if by_order[top].is_zero():
-            raise InvalidInputError("leading term must be nonzero")
+            raise InvalidInputError(
+                f"leading term must be nonzero: the order-{top} term's map "
+                "vanishes identically"
+            )
         self.dim = dim
         self.terms = dict(sorted(by_order.items()))
         self.order = top

@@ -313,6 +313,17 @@ _BAD_FILES = {
                        "terms[1] has dim 3, expected 2"),
     "map-no-order-two-term": ("map", {"dim": 2, "terms": [{"dim": 2, "order": 1, "entries": []}]},
                               "needs at least one term of order >= 2"),
+    # T x^2 = 0 although T has nonzero coefficients: no leading term of order 3
+    "instance-vanishing-leading-term": (
+        "instance",
+        {"dim": 2, "q": [1.0, 1.0], "map": {"dim": 2, "terms": [
+            {"dim": 2, "order": 3, "entries": [
+                {"idx": [1, 1, 2], "val": 1.0}, {"idx": [1, 2, 1], "val": -1.0},
+                {"idx": [2, 1, 2], "val": 2.0}, {"idx": [2, 2, 1], "val": -2.0}]},
+            {"dim": 2, "order": 2, "entries": [
+                {"idx": [1, 1], "val": 2.0}, {"idx": [2, 2], "val": 3.0}]}]}},
+        "leading term must be nonzero: the order-3 term's map vanishes identically",
+    ),
     "instance-short-q": ("instance", {"dim": 2, "map": {"dim": 2, "terms": [_EYE2]}, "q": [1.0]},
                          "q must have length 2"),
 }

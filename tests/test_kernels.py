@@ -1,21 +1,26 @@
-"""The numpy kernels against a plain einsum contraction.
+"""The monomial-table kernel against a plain einsum contraction.
 
 The reference spells the contraction out index by index in one np.einsum
 call, and the Jacobian as the product rule: one einsum per trailing axis,
-with that axis left free. Order 1 (a constant vector) and one order above
-twelve are included.
+with that axis left free. The grid covers every order 1-7 (order 1 is a
+constant vector) in dimensions 1-4, and one order above twelve.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
 
 from pcpkit import backend
 from pcpkit._core_numpy import NumpyKernel
+from pcpkit.constructions import matrix_power_tensor
 from pcpkit.solver import solve
 from pcpkit.tensor_core import PcpInstance, Tensor
 
 # subscripts for the trailing axes; "i" is the output row, "z" the batch row
 TRAILING = "abcdefghjklmnopq"
+# (order, dim): every order 1-7 in dimensions 1-4, and order 13 in dimension 1
+GRID = [(order, dim) for order in range(1, 8) for dim in range(1, 5)] + [(13, 1)]
 
 
 def _spec(tail: str, free: str) -> str:
@@ -50,9 +55,7 @@ def test_backend_name_is_numpy():
     assert isinstance(Tensor(np.eye(2))._kernel, NumpyKernel)
 
 
-@pytest.mark.parametrize(
-    "order,dim", [(2, 2), (3, 2), (4, 3), (5, 2), (6, 2), (1, 3), (13, 1)]
-)
+@pytest.mark.parametrize("order,dim", GRID)
 def test_apply_agreement(order, dim):
     rng = np.random.default_rng(order * 10 + dim)
     coeffs = rng.normal(size=(dim,) * order)
@@ -60,14 +63,50 @@ def test_apply_agreement(order, dim):
     _assert_close(NumpyKernel(coeffs).apply(X), reference_apply(coeffs, X))
 
 
-@pytest.mark.parametrize(
-    "order,dim", [(2, 3), (3, 3), (4, 2), (5, 3), (1, 2), (13, 1)]
-)
+@pytest.mark.parametrize("order,dim", GRID)
 def test_jacobian_agreement(order, dim):
     rng = np.random.default_rng(order * 100 + dim)
     coeffs = rng.normal(size=(dim,) * order)
     X = rng.normal(size=(8, dim))
     _assert_close(NumpyKernel(coeffs).jacobian(X), reference_jacobian(coeffs, X))
+
+
+def test_matrix_power_tensor_agreement():
+    A = np.array([[2.0, -1.0, 0.5], [0.3, 1.5, -0.7], [-0.4, 0.2, 1.1]])
+    coeffs = matrix_power_tensor(A, 5).coeffs
+    X = np.random.default_rng(5).normal(size=(12, 3))
+    kernel = NumpyKernel(coeffs)
+    _assert_close(kernel.apply(X), (X @ A.T) ** 5)
+    _assert_close(kernel.apply(X), reference_apply(coeffs, X))
+    _assert_close(kernel.jacobian(X), reference_jacobian(coeffs, X))
+
+
+def test_antisymmetric_tensor_evaluates_to_exact_zeros():
+    # nonzero coefficients whose sums over permuted trailing indices cancel
+    coeffs = np.zeros((2, 2, 2))
+    coeffs[0, 0, 1], coeffs[0, 1, 0] = 1.0, -1.0
+    coeffs[1, 0, 1], coeffs[1, 1, 0] = 2.0, -2.0
+    kernel = NumpyKernel(coeffs)
+    X = np.random.default_rng(6).normal(size=(7, 2))
+    assert kernel.idx.shape[0] == 0
+    assert np.array_equal(kernel.apply(X), np.zeros((7, 2)))
+    assert np.array_equal(kernel.jacobian(X), np.zeros((7, 2, 2)))
+
+
+@pytest.mark.parametrize("order,dim", [(1, 3), (2, 2), (4, 3), (13, 1)])
+def test_empty_batch_shapes(order, dim):
+    kernel = NumpyKernel(np.ones((dim,) * order))
+    X = np.zeros((0, dim))
+    assert kernel.apply(X).shape == (0, dim)
+    assert kernel.jacobian(X).shape == (0, dim, dim)
+
+
+def test_table_has_at_most_the_distinct_monomials():
+    rng = np.random.default_rng(7)
+    for order, dim in GRID:
+        kernel = NumpyKernel(rng.normal(size=(dim,) * order))
+        assert kernel.idx.shape == (comb(dim + order - 2, order - 1), order - 1)
+        assert kernel.C.shape == (kernel.idx.shape[0], dim)
 
 
 def test_solver_runs_on_pure_backend():

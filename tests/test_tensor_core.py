@@ -13,9 +13,13 @@ from pcpkit.tensor_core import (
     instance_from_json,
     instance_to_json,
     leading_term,
+    load_instance,
+    load_tensor,
     map_from_json,
     map_to_json,
     min_map,
+    save_instance,
+    save_tensor,
     tensor_from_json,
     tensor_to_json,
 )
@@ -88,6 +92,27 @@ def test_polynomial_map_rejects_duplicates_and_constants():
 def test_polynomial_map_rejects_zero_leading():
     with pytest.raises(InvalidInputError):
         PolynomialMap([Tensor(np.zeros((2, 2, 2))), Tensor(np.eye(2))])
+
+
+def _vanishing_cube() -> Tensor:
+    """Nonzero coefficients whose sums over permuted trailing indices are 0,
+    so T x^2 = 0 for every x."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1], c[0, 1, 0] = 1.0, -1.0
+    c[1, 0, 1], c[1, 1, 0] = 2.0, -2.0
+    return Tensor(c)
+
+
+def test_polynomial_map_rejects_a_leading_term_whose_map_vanishes():
+    t = _vanishing_cube()
+    assert np.any(t.coeffs) and t.is_zero()
+    with pytest.raises(InvalidInputError, match="vanishes identically"):
+        PolynomialMap([t, Tensor(np.diag([2.0, 3.0]))])
+    with pytest.raises(InvalidInputError, match="vanishes identically"):
+        as_map(t)
+    # a lower term whose map vanishes is kept as given
+    f = PolynomialMap([diag_cube(), t])
+    assert not f.terms[4].is_zero() and f.terms[3] == t
 
 
 def test_polynomial_map_dimension_mismatch():
@@ -195,6 +220,26 @@ def test_instance_json_round_trip(tmp_path):
     back = instance_from_json(obj)
     assert back.map == inst.map
     assert np.allclose(back.q, inst.q)
+
+
+def test_save_and_load_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(8)
+    t = Tensor(rng.normal(size=(3, 3, 3, 3)))
+    save_tensor(str(tmp_path / "t.json"), t)
+    back = load_tensor(str(tmp_path / "t.json"))
+    assert back.coeffs.tobytes() == t.coeffs.tobytes()
+
+    f = PolynomialMap([t, Tensor(rng.normal(size=(3, 3, 3))), Tensor(rng.normal(size=(3, 3)))])
+    inst = PcpInstance(f, rng.normal(size=3))
+    save_instance(str(tmp_path / "inst.json"), inst)
+    back = load_instance(str(tmp_path / "inst.json"))
+    assert sorted(back.map.terms) == sorted(f.terms)
+    for order, term in f.terms.items():
+        assert back.map.terms[order].coeffs.tobytes() == term.coeffs.tobytes()
+    assert back.q.tobytes() == inst.q.tobytes()
+    X = rng.normal(size=(16, 3))
+    assert np.array_equal(back.map.eval_batch(X), f.eval_batch(X))
+    assert np.array_equal(back.map.jacobian_batch(X), f.jacobian_batch(X))
 
 
 def test_fd_jacobian_on_polynomial_map():
