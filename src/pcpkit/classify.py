@@ -3,8 +3,22 @@
 Verdict vocabulary: "holds" is reserved for finite, exact checks
 (coefficient sign scans, an explicit certificate vector, an identically-zero
 form); universal claims established by sampling + polish come back as
-"holds-up-to-sampling"; "fails" always carries a concrete witness that
-reproduces the violated inequality on re-evaluation.
+"holds-up-to-sampling". What a "fails" rests on depends on the property:
+
+- r0: a verified nonzero solution x of SOL(f_inf, 0).
+- z, nonneg-pos-diag, and strong-m on a tensor that is not Z: the offending
+  coefficient.
+- copositive: an x >= 0 with <F(x), x> below -1e-10 times the sampled scale
+  of sum_i |F_i(x) x_i|; strictly-copositive also fails on an x whose value
+  is at most 1e-10 times that scale (zero up to rounding), or on an
+  identically-zero form.
+- gus: a q with two solutions farther apart than the flatness scale.
+- strong-q: a supplied instance certified to have no solution in its box.
+- p: a pair x != y with max_i (x-y)_i [f(x)-f(y)]_i <= 0.
+
+Two "fails" are sampled negatives, not proofs: is_R after every one of its d
+candidates had a nonzero solution (R needs only some d), and is_strong_M on
+a Z-tensor when its search finds no d with f_inf(d) > 0.
 
 Properties covered: R0, R, copositive (plain and strict), Z, strong M,
 nonnegative-with-positive-diagonal, GUS, strong Q, P-property, plus the
@@ -241,7 +255,9 @@ def is_copositive(F: MapLike, cfg: SolveConfig = SolveConfig(),
     radius sweep over boxes; either grid gains 256 points drawn with
     cfg.seed. The 12 worst grid points are polished by projected gradient
     descent onto the simplex or the box [0, 4]^n. An identically-zero form
-    is detected and reported as an exact verdict.
+    is detected and reported as an exact verdict. The zero and sign floors
+    are relative to the largest sampled sum_i |F_i(x) x_i|, so a verdict
+    does not change when F is scaled.
     """
     Fm = as_map(F)
     n = Fm.dim
@@ -268,8 +284,9 @@ def is_copositive(F: MapLike, cfg: SolveConfig = SolveConfig(),
             grids.append(np.array(list(itertools.product(axis, repeat=n))))
         X = np.vstack(grids + [rng.uniform(0.0, 4.0, size=(256, n))])
     vals = phi_batch(X)
-    cancel = float(np.abs(vals).max()) <= 1e-12 * max(float(phi_parts(X).max()), 1e-12)
-    if cancel:
+    # the size of the sampled terms, so every floor below scales with F
+    scale = float(phi_parts(X).max())
+    if float(np.abs(vals).max()) <= 1e-12 * scale:
         if strict:
             w = np.ones(n) / n
             return ClassVerdict(
@@ -307,22 +324,13 @@ def is_copositive(F: MapLike, cfg: SolveConfig = SolveConfig(),
         "argmin": _vec(best_x),
         "homogeneous": homogeneous,
     }
-    if best_val < -1e-10:
+    if best_val < -1e-10 * scale or (strict and best_val <= 1e-10 * scale):
         return ClassVerdict(
             property=name,
             verdict="fails",
             witness={"x": _vec(best_x), "value": best_val},
             evidence=evidence,
         )
-    if strict:
-        interior_floor = best_val > 1e-10
-        if not interior_floor:
-            return ClassVerdict(
-                property=name,
-                verdict="fails",
-                witness={"x": _vec(best_x), "value": best_val},
-                evidence=evidence,
-            )
     return ClassVerdict(property=name, verdict="holds-up-to-sampling", evidence=evidence)
 
 
@@ -382,7 +390,9 @@ def is_strong_M(A, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
 
     The certificate d is searched by projected subgradient ascent of
     min_i f_inf(d)_i over the simplex from _STRONG_M_RESTARTS starts drawn
-    with cfg.seed; a found d is an exact certificate.
+    with cfg.seed; a found d is an exact certificate. Its floor is 1e-9 times
+    the largest absolute row sum of the tensor, which bounds |f_inf(d)_i| on
+    the simplex. On a Z-tensor, "fails" means that the search found no d.
     """
     T = _as_tensor(A, "strong-m")
     z = is_Z_tensor(T)
@@ -395,6 +405,7 @@ def is_strong_M(A, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
         )
     F = as_map(T)
     n = T.dim
+    floor = 1e-9 * float(np.abs(T.coeffs).reshape(n, -1).sum(axis=1).max())
     rng = np.random.default_rng(cfg.seed)
     starts = [np.ones(n) / n] + list(rng.dirichlet(np.ones(n), size=_STRONG_M_RESTARTS - 1))
 
@@ -412,9 +423,9 @@ def is_strong_M(A, cfg: SolveConfig = SolveConfig()) -> ClassVerdict:
         val = -val
         if val > best_min:
             best_min, best_d = val, d
-        if best_min > 1e-9:
+        if best_min > floor:
             break
-    if best_min > 1e-9:
+    if best_min > floor:
         return ClassVerdict(
             property="strong-m",
             verdict="holds",
@@ -454,14 +465,18 @@ def _cluster_reps(solutions, radius: float):
 
 
 def gus_probe(A: MapLike, cfg: SolveConfig = SolveConfig(), q_samples=None) -> ClassVerdict:
-    """Globally-unique-solvability probe: every sampled q must yield exactly
-    one solution under full enumeration. The q's are the caller's q_samples
-    (at least one) or 34 drawn with cfg.seed.
+    """Globally-unique-solvability probe over sampled q: the caller's
+    q_samples (at least one) or 34 drawn with cfg.seed.
 
-    Solutions closer than the flatness scale feasibility**(1/(m-1)) are
-    merged before counting: a root of multiplicity up to m-1 admits a ball
-    of tolerance-solutions of that radius, which is a resolution limit of
-    the residual test rather than genuine multiplicity.
+    Each q runs a full enumeration. Solutions closer than the flatness scale
+    feasibility**(1/(m-1)) are merged before counting: a root of
+    multiplicity up to m-1 admits a ball of tolerance-solutions of that
+    radius, which is a resolution limit of the residual test rather than
+    genuine multiplicity. The first q with two solutions after merging is a
+    "fails" witness. A q whose enumeration finds none is listed by index in
+    evidence["unresolved_q"], since finding none inside the search radius
+    does not prove that none exists. Otherwise the verdict is
+    holds-up-to-sampling.
     """
     F = as_map(A)
     n = F.dim
@@ -477,36 +492,22 @@ def gus_probe(A: MapLike, cfg: SolveConfig = SolveConfig(), q_samples=None) -> C
     )
     if not qs:
         raise InvalidInputError("gus probe needs at least one q sample")
-    counts = []
-    for q in qs:
-        rep = enumerate_solutions(PcpInstance(F, q), cfg)
-        rep.solutions = _cluster_reps(rep.solutions, flat)
-        counts.append(len(rep.solutions))
-        if len(rep.solutions) >= 2:
+    unresolved = []
+    for i, q in enumerate(qs):
+        sols = _cluster_reps(enumerate_solutions(PcpInstance(F, q), cfg).solutions, flat)
+        if len(sols) >= 2:
             return ClassVerdict(
                 property="gus",
                 verdict="fails",
-                witness={
-                    "q": _vec(q),
-                    "solution_a": _vec(rep.solutions[0]),
-                    "solution_b": _vec(rep.solutions[1]),
-                },
-                evidence={"q_tested": len(counts), "flat_merge_radius": flat},
+                witness={"q": _vec(q), "solution_a": _vec(sols[0]), "solution_b": _vec(sols[1])},
+                evidence={"q_tested": i + 1, "flat_merge_radius": flat},
             )
-        if not rep.solutions:
-            return ClassVerdict(
-                property="gus",
-                verdict="fails",
-                witness={"q": _vec(q)},
-                evidence={
-                    "q_tested": len(counts),
-                    "note": "no solution found within the search radius",
-                },
-            )
+        if not sols:
+            unresolved.append(i)
     return ClassVerdict(
         property="gus",
         verdict="holds-up-to-sampling",
-        evidence={"q_tested": len(qs), "all_unique": True, "flat_merge_radius": flat},
+        evidence={"q_tested": len(qs), "unresolved_q": unresolved, "flat_merge_radius": flat},
     )
 
 
@@ -522,11 +523,14 @@ def strong_q_probe(A, cfg: SolveConfig = SolveConfig(), trials: int = 50,
     """Solvability of PCP(f, q) for every f with leading term A.
 
     Checks caller-supplied witness triples (instance, box, step) by
-    certificate first, then trials (>= 1) random instances drawn with
-    cfg.seed: lower-order coefficients in [-1, 1] and q in [-2, 2]. A failed
-    solve attempts a box certificate. Any certified non-existence is a
-    failure witness; otherwise the verdict is capped at
-    holds-up-to-sampling, with unresolved trials counted openly.
+    certificate first: a certified box is a "fails" witness, which proves
+    failure only if the box contains every solution of the instance. Then
+    runs trials (>= 1) random instances drawn with cfg.seed: lower-order
+    coefficients in [-1, 1] and q in [-2, 2]. Each trial runs solve and, if
+    that fails, one wider search: a pattern enumeration on a wide box when
+    the dimension is within cfg.pattern_dim_cap, else a solve at 8 times the
+    search radius. A random trial never yields "fails": the verdict is
+    holds-up-to-sampling, with the trials still unsolved listed openly.
     """
     T = _as_tensor(A, "strong-q")
     n, m = T.dim, T.order
@@ -554,47 +558,28 @@ def strong_q_probe(A, cfg: SolveConfig = SolveConfig(), trials: int = 50,
                 evidence={"source": "supplied witness"},
             )
     rng = np.random.default_rng(cfg.seed)
-    solved = 0
     unresolved = []
     for t in range(trials):
         lowers = _random_lower_terms(m, n, rng)
         q = rng.uniform(-2.0, 2.0, size=n)
-        f = PolynomialMap([T] + lowers)
-        inst = PcpInstance(f, q)
-        # solutions of perturbed instances can sit far outside any fixed
-        # multistart radius, so a failed solve falls back to a pattern
-        # enumeration from a coarse grid on a wide box
-        rep = solve(inst, cfg)
-        found = rep.status == "solved"
-        if not found and n <= cfg.pattern_dim_cap:
-            wide = replace(
-                cfg, search_radius=4096.0, confirm_grid=False, grid_per_axis=5
-            )
-            enum = enumerate_solutions(inst, wide)
-            found = bool(enum.solutions)
-        if not found:
-            rep2 = solve(inst, cfg.with_radius(8.0 * cfg.search_radius))
-            found = rep2.status == "solved"
-        if found:
-            solved += 1
+        inst = PcpInstance(PolynomialMap([T] + lowers), q)
+        if solve(inst, cfg).status == "solved":
             continue
-        hi = 1.2 * (1.0 + float(np.abs(q).max())) ** (1.0 / max(1, m - 1))
-        step_cert = hi / (800 if n <= 2 else 80)
-        cert = certify_unsolvable(inst, [(0.0, hi)] * n, step_cert, cfg.tolerances)
-        if cert.certified:
-            return ClassVerdict(
-                property="strong-q",
-                verdict="fails",
-                witness={"trial": t, "q": _vec(q), "certificate": cert.to_json()},
-                evidence={"trials_run": t + 1, "solved": solved},
-            )
-        unresolved.append(t)
+        # solutions of perturbed instances can sit far outside any fixed
+        # multistart radius, so a failed solve gets one wider search
+        if n <= cfg.pattern_dim_cap:
+            wide = replace(cfg, search_radius=4096.0, confirm_grid=False, grid_per_axis=5)
+            found = bool(enumerate_solutions(inst, wide).solutions)
+        else:
+            found = solve(inst, cfg.with_radius(8.0 * cfg.search_radius)).status == "solved"
+        if not found:
+            unresolved.append(t)
     return ClassVerdict(
         property="strong-q",
         verdict="holds-up-to-sampling",
         evidence={
             "trials": trials,
-            "solved": solved,
+            "solved": trials - len(unresolved),
             "unresolved_trials": unresolved,
             "witnesses_checked": len(witnesses),
         },

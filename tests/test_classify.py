@@ -15,7 +15,7 @@ from pcpkit.classify import (
     sol_cone_sample,
     strong_q_probe,
 )
-from pcpkit.constructions import example_catalog
+from pcpkit.constructions import example3_q, example_catalog
 from pcpkit.degree import stability_radius_probe
 from pcpkit.errors import InvalidInputError
 from pcpkit.solver import SolveConfig, boundedness_probe
@@ -208,6 +208,44 @@ def test_strong_q_counts_witnesses_from_a_generator():
     v = strong_q_probe(CUBE, trials=1, witnesses=gen)
     assert v.verdict == "holds-up-to-sampling"
     assert v.evidence["witnesses_checked"] == 2
+
+
+def test_strong_q_random_trials_never_fail():
+    # Example 1's tensor is R0 with degree -1, so by the main theorem every
+    # perturbed PCP has a solution. Without the pattern enumeration, trial 23
+    # (q = (-1.3465, 1.5337), a root near (34.4, 45.5)) stays unsolved; it is
+    # listed, not turned into a "fails".
+    v = strong_q_probe(EX1, SolveConfig(pattern_dim_cap=1), trials=24)
+    assert v.verdict == "holds-up-to-sampling"
+    assert 23 in v.evidence["unresolved_trials"]
+    assert v.evidence["solved"] == 24 - len(v.evidence["unresolved_trials"])
+
+
+def test_gus_lists_a_q_without_a_found_solution():
+    # the one solution (20.025, 20) lies outside the default search radius
+    E3 = {e.name: e for e in example_catalog()}["example3"].payload
+    v = gus_probe(E3, q_samples=[example3_q(20)])
+    assert v.verdict == "holds-up-to-sampling"
+    assert v.evidence["unresolved_q"] == [0]
+
+
+TINY_CUBE = Tensor(1e-11 * CUBE_C)
+
+
+def test_strong_m_floor_scales_with_the_tensor():
+    v = is_strong_M(TINY_CUBE)
+    assert v.verdict == "holds" and v.evidence["min_component"] > 0
+
+
+def test_strict_copositivity_floor_scales_with_the_form():
+    assert is_copositive(TINY_CUBE, strict=True).verdict == "holds-up-to-sampling"
+    # (x1^2 - x2^2)^2 vanishes at (1, 1)/2, so it is copositive but not strictly
+    C = np.zeros((2, 2, 2, 2))
+    C[0, 0, 0, 0] = C[1, 1, 1, 1] = 1.0
+    C[0, 0, 1, 1] = C[1, 1, 0, 0] = -1.0
+    assert is_copositive(Tensor(C)).verdict == "holds-up-to-sampling"
+    v = is_copositive(Tensor(C), strict=True)
+    assert v.verdict == "fails" and v.witness["value"] == 0.0
 
 
 def test_dual_strict_tolerance_reaches_the_dual_test():

@@ -78,6 +78,21 @@ def test_homotopy_to_leading_term():
     assert h.degree_start == h.degree_end == 1
 
 
+def test_homotopy_grows_a_radius_that_roots_crowd():
+    # the t = 1 root (1.128, 1.128) crowds radius 1, so the sweep re-runs at 2
+    f = PolynomialMap([diag_cube(), Tensor(0.5 * np.eye(2))])
+    h = homotopy_invariance_check(f, "to-leading-term", q=np.array([-2.0, -2.0]),
+                                  cfg=SolveConfig(search_radius=1.0))
+    assert h.verified
+    assert h.diagnostics["search_radius"] == 2.0
+
+
+def test_box_boundary_samples_lie_on_the_box_in_three_dimensions():
+    pts = degree_module._box_boundary_samples(3, 2.5, np.random.default_rng(0), count=64)
+    assert pts.shape == (64, 3)
+    assert np.array_equal(np.abs(pts).max(axis=1), np.full(64, 2.5))
+
+
 def test_homotopy_karamardian_cube():
     h = homotopy_invariance_check(diag_cube(), "karamardian", d=np.ones(2), interpolate="full")
     assert h.verified and h.degree_end == 1
