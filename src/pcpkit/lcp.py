@@ -83,12 +83,13 @@ def _verify_lcp(M, q, x, tol) -> bool:
     )
 
 
-def lemke_solve(inst, q=None) -> LcpResult:
+def lemke_solve(inst, q=None, tols: Tolerances = DEFAULT_TOLERANCES) -> LcpResult:
     """Lemke's method with covering vector e.
 
     The tableau carries the identity block of the starting basis, and the
     ratio test compares full lexicographic rows, so cycling is excluded.
     Raises BudgetExhaustedError after _LEMKE_MAX_PIVOTS pivots.
+    diagnostics["verified"] checks the answer to tols.feasibility.
     """
     M, q, n = _check_mq(inst, q, _LEMKE_MAX_DIM)
     tol = 1e-10
@@ -142,7 +143,7 @@ def lemke_solve(inst, q=None) -> LcpResult:
                 if n <= b < 2 * n:
                     x[b - n] = T[i, RHS]
             x = np.maximum(x, 0.0)
-            ok = _verify_lcp(M, q, x, 1e-8)
+            ok = _verify_lcp(M, q, x, tols.feasibility)
             return LcpResult(
                 status="solved",
                 solutions=[x],

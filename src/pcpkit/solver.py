@@ -8,7 +8,9 @@ going to the f-row. The 2^n smooth pieces of min{x, f(x)+q} = p run on it
 as masked rows: on the piece of an index set beta, x_i = p_i off beta and
 f_beta(x) + (q-p)_beta = 0, and the rows of every piece and start share
 one call. Solutions are the pieces with p = 0; the degree module counts
-preimages of a small p with q = 0 on the same pieces.
+preimages of a small p with q = 0 on the same pieces. solve runs the
+engine from its two deterministic starts first and from its seeded cloud
+only when neither gives a verified solution.
 
 enumerate_solutions is the exhaustive desk-scale oracle: one engine call
 runs every piece from a deterministic grid, and each piece's roots are
@@ -139,14 +141,16 @@ def _solve_rows(J: np.ndarray, r: np.ndarray, k: np.ndarray, off, singular_tol: 
     k x k system (np.linalg.lstsq(rcond=None)'s cutoff), from one stacked
     pseudo-inverse that leaves out the identity entries marked by off;
     d is exactly 0 where off is set."""
-    d = np.empty_like(r)
     dets = np.linalg.det(J)
     scale = np.maximum(1.0, np.abs(J).max(axis=(1, 2)) ** k)
     good = np.abs(dets) > singular_tol * scale
-    if np.any(good):
-        d[good] = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
-    bad = ~good
-    if np.any(bad):
+    if good.all():
+        d = np.linalg.solve(J, -r[..., None])[..., 0]
+    else:
+        d = np.empty_like(r)
+        if np.any(good):
+            d[good] = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
+        bad = ~good
         Jb = J[bad]
         if off is not None:
             bi, ci = np.nonzero(off[bad])
@@ -223,7 +227,7 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, box_cap: float,
             ts = _STEP_LADDER[h : h + max(1, _LADDER_ROWS // trial.size)]
             h += ts.size
             Xt = np.clip(Xa[trial] + ts[:, None, None] * d[trial], -box_cap, box_cap).reshape(-1, n)
-            rt, Yt = residual(Xt, np.tile(act[trial], ts.size))
+            rt, Yt = residual(Xt, None if off is None else np.tile(act[trial], ts.size))
             thetat = np.einsum("bi,bi->b", rt, rt).reshape(ts.size, trial.size)
             ok = (thetat <= (1.0 - 1e-4 * ts[:, None]) * theta0[trial]) | (thetat <= tol * tol)
             take = ok.any(axis=0)
@@ -335,11 +339,15 @@ def _collect_verified(inst, X, converged, tols: Tolerances):
 def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     """First verified solution by multistart semismooth Newton on the min map.
 
-    Starts: the origin, the heuristic seed max(0,-q)^{[1/(m-1)]} (signed real
-    root for even m-1), and _MULTISTART seeded uniform points in
-    [0, search_radius]^n. Falls back to pattern-system seeding before giving
-    up, when the dimension is within cfg.pattern_dim_cap; returns
-    budget-exhausted when nothing verifies.
+    Starts, in order: the origin, the heuristic seed max(0,-q)^{[1/(m-1)]}
+    (signed real root for even m-1), and _MULTISTART seeded uniform points
+    in [0, search_radius]^n. The first two run alone; the seeded cloud runs
+    only when neither verifies. Rows of the engine do not interact, so this
+    returns the first verified start of one run from all of them.
+    diagnostics["newton_starts"] counts the starts run (2 or 66). Falls
+    back to pattern-system seeding before giving up, when the dimension is
+    within cfg.pattern_dim_cap; returns budget-exhausted when nothing
+    verifies.
     """
     t0 = time.perf_counter()
     f, q, n = inst.map, inst.q, inst.dim
@@ -347,25 +355,26 @@ def solve(inst: PcpInstance, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     rng = np.random.default_rng(cfg.seed)
     deg = max(1, f.degree)
     heur = np.maximum(0.0, -q) ** (1.0 / deg)
-    starts = np.vstack(
-        [
-            np.zeros(n),
-            heur,
-            rng.uniform(0.0, cfg.search_radius, size=(_MULTISTART, n)),
-        ]
-    )
-    X, converged, rn, iters = _newton_batch(
-        f, q, starts, tol=max(1e-13, tols.root / 100.0), box_cap=10.0 * cfg.search_radius
-    )
     diagnostics = {
         "backend": backend_name(),
-        "newton_starts": int(starts.shape[0]),
-        "newton_converged": int(converged.sum()),
-        "newton_iterations": iters,
+        "newton_starts": 0,
+        "newton_converged": 0,
+        "newton_iterations": 0,
         "pattern_fallback": False,
     }
-    near = rn <= np.maximum(tols.root, _float_noise_floor(f, q, X))
-    hit = _collect_verified(inst, X, converged | near, tols)
+    for stage in range(2):
+        starts = (np.vstack([np.zeros(n), heur]) if stage == 0
+                  else rng.uniform(0.0, cfg.search_radius, size=(_MULTISTART, n)))
+        X, converged, rn, iters = _newton_batch(
+            f, q, starts, tol=max(1e-13, tols.root / 100.0), box_cap=10.0 * cfg.search_radius
+        )
+        diagnostics["newton_starts"] += starts.shape[0]
+        diagnostics["newton_converged"] += int(converged.sum())
+        diagnostics["newton_iterations"] += iters
+        near = rn <= np.maximum(tols.root, _float_noise_floor(f, q, X))
+        hit = _collect_verified(inst, X, converged | near, tols)
+        if hit is not None:
+            break
     if hit is None and n <= cfg.pattern_dim_cap:
         # pattern-seeded fallback: the enumeration grid often reaches roots
         # the multistart cloud misses

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcpkit.config import Tolerances
 from pcpkit.degree import tensor_degree
 from pcpkit.errors import InvalidInputError
 from pcpkit.lcp import LcpInstance, lcp_degree, lcp_enumerate, lemke_solve
@@ -28,6 +29,15 @@ def test_lemke_ray_termination_outside_guaranteed_classes():
     # solves the instance; enumeration below picks it up instead
     r = lemke_solve(A, np.array([-1.0, -1.0]))
     assert r.status == "ray-termination"
+
+
+def test_lemke_verification_reads_the_feasibility_tolerance():
+    # w = Mx + q of the pivoted answer carries rounding of order 1e-16
+    M = np.array([[2.43, -0.46, -0.92], [-0.97, 3.55, 0.83], [0.21, 0.46, 1.35]])
+    q = np.array([-1.27, -0.62, 0.04])
+    assert lemke_solve(M, q).diagnostics["verified"]
+    tight = lemke_solve(M, q, tols=Tolerances(feasibility=1e-20))
+    assert tight.status == "solved" and not tight.diagnostics["verified"]
 
 
 def test_enumerate_finds_solution_lemke_misses():

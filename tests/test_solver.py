@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from pcpkit.config import Tolerances
-from pcpkit.constructions import example_catalog, matrix_power_tensor
+from pcpkit.constructions import (
+    coupled_square_tensor,
+    example_catalog,
+    matrix_power_tensor,
+    two_solution_instance,
+)
 from pcpkit.errors import InvalidInputError
 from pcpkit import degree as degree_module
 from pcpkit import solver as solver_module
@@ -298,6 +303,60 @@ def test_solve_above_pattern_cap_skips_fallback():
     rep = solve(PcpInstance(Tensor(-np.eye(5)), -np.ones(5)))
     assert rep.status == "budget-exhausted"
     assert rep.diagnostics["pattern_fallback"] is False
+
+
+def _solve_starts(inst, cfg):
+    # solve's starts in start order: origin, heuristic point, seeded cloud
+    q, n = inst.q, inst.dim
+    heur = np.maximum(0.0, -q) ** (1.0 / max(1, inst.map.degree))
+    rng = np.random.default_rng(cfg.seed)
+    cloud = rng.uniform(0.0, cfg.search_radius, size=(solver_module._MULTISTART, n))
+    return np.vstack([np.zeros(n), heur, cloud])
+
+
+def _one_batch_run(inst, cfg, X0):
+    return _newton_batch(inst.map, inst.q, X0, tol=max(1e-13, cfg.tolerances.root / 100.0),
+                         box_cap=10.0 * cfg.search_radius)
+
+
+# (instance, starts solve runs): answered by the origin or the heuristic
+# point; answered only by the seeded cloud (an Eq. 4 draw of the solve
+# workload, rounded); several solutions, 0 and e
+_STAGED_CASES = [
+    (PcpInstance(diag_cube(), np.array([-1.0, -1.0])), 2),
+    (PcpInstance(PolynomialMap([matrix_power_tensor(np.array([[1.96, 0.46], [0.57, 1.67]]), 3)]),
+                 np.array([-0.87, 1.8])), 66),
+    (two_solution_instance(coupled_square_tensor()), 2),
+]
+
+
+@pytest.mark.parametrize("inst, starts", _STAGED_CASES)
+def test_staged_solve_returns_the_first_verified_start_of_one_batch(inst, starts):
+    # the reference runs all 66 starts in one engine call and takes the
+    # first verified row in start order
+    cfg = SolveConfig()
+    X, converged, rn, _ = _one_batch_run(inst, cfg, _solve_starts(inst, cfg))
+    floor = solver_module._float_noise_floor(inst.map, inst.q, X)
+    near = rn <= np.maximum(cfg.tolerances.root, floor)
+    ref = solver_module._collect_verified(inst, X, converged | near, cfg.tolerances)
+    rep = solve(inst, cfg)
+    assert rep.status == "solved" and ref is not None
+    assert rep.diagnostics["newton_starts"] == starts
+    assert rep.diagnostics["pattern_fallback"] is False
+    (x,) = rep.solutions
+    assert np.abs(x - ref[0]).max() <= 1e-12 * (1.0 + np.abs(ref[0]).max())
+
+
+@pytest.mark.parametrize("inst", [inst for inst, _ in _STAGED_CASES])
+def test_split_batch_matches_one_batch(inst):
+    cfg = SolveConfig()
+    X0 = _solve_starts(inst, cfg)
+    whole = _one_batch_run(inst, cfg, X0)
+    parts = [_one_batch_run(inst, cfg, X0[:2]), _one_batch_run(inst, cfg, X0[2:])]
+    assert np.array_equal(whole[1], np.concatenate([p[1] for p in parts]))
+    X = np.vstack([p[0] for p in parts])
+    c = whole[1]
+    assert np.abs(X[c] - whole[0][c]).max() <= 1e-12 * (1.0 + np.abs(whole[0][c]).max())
 
 
 def test_far_root_is_reported_once():
