@@ -4,14 +4,15 @@ For a homogeneous map F with SOL(F, 0) = {0}, the natural map
 g(x) = min{x, F(x)} has an isolated zero at the origin and its local degree
 there is computed two independent ways:
 
-* regular-value counting: pick a small random p; solve all 2^n pieces of
-  min{x, F(x)+q} = p, {x_i = p_i (x side), F_i(x) + q_i = p_i (F side)},
-  in one call of the solver's masked-piece Newton engine (the pieces
-  enumeration solves with p = 0, here with q = 0), keep roots whose
-  inactive branch clears the tie margin, and sum the signs of the piece
-  Jacobian determinants. The preimage search radius doubles until the
-  preimage set stops changing. The homotopy check counts
-  min{x, f_t(x) + q_t} the same way, with its shift q_t.
+* signed solution count: for a small random shift c, H(x, s) =
+  min{x, F(x) + s c} is an admissible homotopy on a ball that holds every
+  zero for s in [0, 1], so the degree is the sum over SOL(F, c) of
+  sign det J(x), J being F'(x) with identity rows where x_i < (F(x) + c)_i.
+  SOL(F, c) comes from one enumeration sweep of the solver's masked-piece
+  engine, over a ball whose radius follows from a sampled least value of
+  |min{u, F(u)}| on the unit face. A solution within the tie margin of
+  another piece, or with a singular J, forces a redraw of c. The homotopy
+  check counts SOL(f_t, q_t + c) the same way over its fixed region.
 * winding number (dim 2 only): the angle swept by g around a circle, with
   adaptive bisection until every step turns less than pi/2.
 
@@ -21,7 +22,6 @@ return a doubtful value.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +31,7 @@ from .errors import DegenerateInputError, InvalidInputError, PcpKitError
 from .solver import (
     SolveConfig,
     ZeroConeReport,
-    _newton_batch,
-    _stack_pieces,
+    _enumerate_once,
     check_sol_infty_zero,
     enumerate_solutions,
 )
@@ -59,7 +58,9 @@ __all__ = [
 ]
 
 _P_RETRIES = 20
-_BALL_CAP = 64.0
+_BALL_CAP = 256.0
+# Seeded samples of the unit face per support pattern, for the ball radius.
+_FACE_SAMPLES = 512
 # The winding circle: its radius, and its initial samples before bisection.
 _WINDING_RADIUS = 1.0
 _WINDING_SAMPLES = 4096
@@ -69,8 +70,8 @@ _WINDING_SAMPLES = 4096
 class DegreeEstimate(Report):
     value: int
     method: str  # regular-value | winding | regular-value+winding
-    regular_value: np.ndarray | None
-    preimages: list  # [(x, sign)]
+    regular_value: np.ndarray | None  # c of SOL(F, c); lcp_degree: p of min{x, Mx} = p
+    preimages: list  # [(x, sign)]: the counted points and their signs
     tie_margin: float | None  # smallest branch slack observed; None if no preimages
     diagnostics: dict = field(default_factory=dict)
 
@@ -81,112 +82,8 @@ class DegreeEstimate(Report):
 
 
 class _Retry(Exception):
-    """Current regular-value draw hit a tie or singular piece; redraw p."""
-
-
-def _classify_preimage(F, q: np.ndarray, p: np.ndarray, x: np.ndarray, tols: Tolerances):
-    """(sign, min_inactive_slack) of a candidate, or None if x is not a
-    preimage of p under min{x, F(x)+q}.
-
-    Per index the active branch is the one at the minimum; an index where
-    both branches sit within the tie margin is resolved by checking that
-    every branch completion gives the same Jacobian determinant sign
-    (min{x_i, F_i} with F_i = x_i locally is smooth despite the formal tie).
-    Ambiguous slacks in (active, margin] force a redraw of p.
-    """
-    n = F.dim
-    margin = tols.tie_margin
-    active_tol = 1e-8
-    a = x - p
-    b = F.eval(x) + (q - p)
-    rows = []  # per index: list of allowed branches, 'x' and/or 'F'
-    slacks = []
-    for i in range(n):
-        ax, bf = abs(a[i]) <= active_tol, abs(b[i]) <= active_tol
-        if ax and bf:
-            rows.append(("x", "F"))
-        elif ax:
-            if b[i] < -margin:
-                return None  # the F branch dips below p_i: min differs from p_i
-            if b[i] <= margin:
-                raise _Retry("near-tie between branches at a preimage")
-            rows.append(("x",))
-            slacks.append(float(b[i]))
-        elif bf:
-            if a[i] < -margin:
-                return None
-            if a[i] <= margin:
-                raise _Retry("near-tie between branches at a preimage")
-            rows.append(("F",))
-            slacks.append(float(a[i]))
-        else:
-            return None  # neither branch attains p_i: not a preimage
-    J = F.jacobian_batch(x[None, :])[0]
-    scale = max(1.0, float(np.abs(J).max()) ** n)
-    sign = 0
-    for combo in itertools.product(*rows):
-        M = np.array(J)
-        for i, branch in enumerate(combo):
-            if branch == "x":
-                M[i, :] = 0.0
-                M[i, i] = 1.0
-        det = float(np.linalg.det(M))
-        if abs(det) <= tols.singular_det * scale:
-            raise _Retry("singular piece Jacobian at a preimage")
-        s = 1 if det > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            raise _Retry("tied branches disagree on orientation")
-    return sign, (min(slacks) if slacks else float("inf"))
-
-
-def _preimage_set(F, q: np.ndarray, p: np.ndarray, radius: float, tols: Tolerances,
-                  per_axis: int = 7):
-    """Preimages of p under min{x, F(x)+q} in the sup-norm ball of the given
-    radius, as sorted (x, sign, slack).
-
-    Every piece (F branch on beta, x_i = p_i off it) runs in one engine
-    call from a per_axis grid on [-radius/8, radius]^|beta|; the piece with
-    beta empty contributes p itself. Each piece's converged roots in the
-    ball are deduplicated at 1e-8 (1 + radius), and the candidates of all
-    pieces are classified together.
-    """
-    n = F.dim
-    pieces = [tuple(i for i in range(n) if i not in alpha)
-              for size in range(n) for alpha in itertools.combinations(range(n), size)]
-    X0, beta, offsets = _stack_pieces(p, pieces, np.linspace(-radius / 8.0, radius, per_axis))
-    X, converged, rn, _ = _newton_batch(
-        F, q, X0, tol=1e-13, box_cap=max(64.0, 4 * radius), beta=beta, p=p, max_iters=80
-    )
-    inside = converged & (rn <= tols.root) & (np.abs(X).max(axis=1) <= radius * (1 + 1e-9))
-    candidates: list[np.ndarray] = []
-    for j in range(len(pieces)):
-        out: list[np.ndarray] = []
-        for x in X[offsets[j] + np.nonzero(inside[offsets[j] : offsets[j + 1]])[0]]:
-            if not out or np.abs(np.asarray(out) - x).max(axis=1).min() > 1e-8 * (1 + radius):
-                out.append(x)
-        candidates.extend(out)
-    if float(np.abs(p).max()) <= radius:
-        candidates.append(p.copy())
-    found = []
-    for x in sorted(candidates, key=lambda v: tuple(v)):
-        gap = 1e-7 * (1 + float(np.abs(x).max()))
-        if found and np.abs(np.asarray([y for y, _, _ in found]) - x).max(axis=1).min() <= gap:
-            continue
-        hit = _classify_preimage(F, q, p, x, tols)
-        if hit is not None:
-            found.append((x, hit[0], hit[1]))
-    return found
-
-
-def _sets_match(a, b, tol=1e-7) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
-        np.abs(x - y).max() <= tol * (1 + np.abs(x).max()) and sx == sy
-        for (x, sx, _), (y, sy, _) in zip(a, b)
-    )
+    """The current draw is not a regular value (a tie between branches or a
+    singular piece at a solution); redraw it."""
 
 
 def _draw_p(rng, n: int) -> np.ndarray:
@@ -195,58 +92,60 @@ def _draw_p(rng, n: int) -> np.ndarray:
     return d * rng.uniform(1e-3, 1e-2)
 
 
-def _regular_value_degree(
-    F: PolynomialMap,
-    q: np.ndarray,
-    rng,
-    tols: Tolerances,
-    fixed_radius: float | None = None,
-    boundary_samples: np.ndarray | None = None,
-) -> tuple:
-    """(degree, p, preimages, diagnostics) of min{x, F(x)+q}. Retries the
-    draw of p up to _P_RETRIES times on ties/singularities; with
-    fixed_radius set, computes over that ball only and insists preimages
-    stay off the boundary."""
-    n = F.dim
+def _first_regular_value(rng, n: int, attempt):
+    """(c, attempt(c)) for the first of _P_RETRIES draws of c that attempt
+    does not refuse with _Retry; DegenerateInputError if it refuses all."""
     last = "no attempts"
     for _ in range(_P_RETRIES):
-        p = _draw_p(rng, n)
+        c = _draw_p(rng, n)
         try:
-            if fixed_radius is not None:
-                if boundary_samples is not None:
-                    gb = np.abs(
-                        np.minimum(boundary_samples, F.eval_batch(boundary_samples) + q)
-                    ).max(axis=1)
-                    if float(gb.min()) < 10.0 * float(np.abs(p).max()):
-                        raise _Retry("map too small on the region boundary")
-                pre = _preimage_set(F, q, p, fixed_radius, tols)
-                if any(np.abs(x).max() > 0.9 * fixed_radius for x, _, _ in pre):
-                    raise _Retry("preimage near the region boundary")
-                diag = {"radius": fixed_radius, "stabilized": True}
-            else:
-                radius = 1.0
-                pre = _preimage_set(F, q, p, radius, tols)
-                stabilized = False
-                while radius < _BALL_CAP:
-                    bigger = _preimage_set(F, q, p, 2 * radius, tols)
-                    if _sets_match(pre, bigger):
-                        stabilized = True
-                        break
-                    pre, radius = bigger, 2 * radius
-                if not stabilized:
-                    raise DegenerateInputError(
-                        "preimage set kept changing up to the radius cap; "
-                        "the map may have zeros at infinity"
-                    )
-                diag = {"radius": radius, "stabilized": True}
-            deg = sum(s for _, s, _ in pre)
-            return deg, p, pre, diag
+            return c, attempt(c)
         except _Retry as e:
             last = str(e)
-            continue
     raise DegenerateInputError(
         f"no regular value found in {_P_RETRIES} draws (last: {last})"
     )
+
+
+def _signed_solutions(F: PolynomialMap, q: np.ndarray, c: np.ndarray, radius: float,
+                      cfg: SolveConfig) -> list:
+    """Solutions of PCP(F, q + c) in [0, radius]^n as sorted (x, sign, slack),
+    from one enumeration sweep on a 7-point grid.
+
+    With y = F(x) + q + c, sign is that of det J, J being F'(x) with identity
+    rows where x_i < y_i, and slack = min_i max(x_i, y_i) is the gap to the
+    nearest other piece. A slack within tie_margin, or |det J| within
+    singular_det * max(1, max|F'(x)|^n), raises _Retry.
+    """
+    tols = cfg.tolerances
+    sols, _ = _enumerate_once(PcpInstance(F, q + c), cfg.with_radius(radius), 7)
+    out = []
+    for x in sols:
+        y = F.eval(x) + q + c
+        slack = float(np.maximum(x, y).min())
+        if slack <= tols.tie_margin:
+            raise _Retry("near-tie between branches at a solution")
+        J = F.jacobian(x)
+        scale = max(1.0, float(np.abs(J).max()) ** F.dim)
+        x_rows = x < y
+        J[x_rows] = np.eye(F.dim)[x_rows]
+        det = float(np.linalg.det(J))
+        if abs(det) <= tols.singular_det * scale:
+            raise _Retry("singular piece Jacobian at a solution")
+        out.append((x, 1 if det > 0 else -1, slack))
+    return out
+
+
+def _face_residual(F: PolynomialMap, rng) -> float:
+    """The least |min{u, F(u)}|_inf over _FACE_SAMPLES seeded points u >= 0
+    with max u = 1 on each nonempty support pattern: a sample of the
+    minimum mu over the unit face, not a bound on it."""
+    n = F.dim
+    support = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
+    U = 1.0 - rng.random((support.shape[0], _FACE_SAMPLES, n))
+    U = (U * support[:, None, :]).reshape(-1, n)
+    U /= U.max(axis=1, keepdims=True)
+    return float(np.abs(np.minimum(U, F.eval_batch(U))).max(axis=1).min())
 
 
 def winding_degree_2d(F: MapLike, tols: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -294,12 +193,13 @@ def winding_degree_2d(F: MapLike, tols: Tolerances = DEFAULT_TOLERANCES) -> int:
 
 
 def local_degree_min_map(F: MapLike, cfg: SolveConfig = SolveConfig()) -> DegreeEstimate:
-    """Regular-value degree of min{x, F(x)} at the origin for a homogeneous
-    map F of dim at most cfg.pattern_dim_cap with SOL(F, 0) = {0}.
+    """Degree of min{x, F(x)} at the origin, as the signed count of
+    SOL(F, c), for a homogeneous map F of dim at most cfg.pattern_dim_cap
+    with SOL(F, 0) = {0}.
 
-    The zero-cone sample and the regular value p are drawn with cfg.seed.
-    The zero-only precondition is a sampling certificate and is recorded in
-    the diagnostics as an assumption, not a proof.
+    The zero-cone sample, the face sample and the shift c are drawn with
+    cfg.seed. The zero-only precondition is a sampling certificate and is
+    recorded in the diagnostics as an assumption, not a proof.
     """
     F = as_map(F)
     if not F.is_homogeneous():
@@ -312,23 +212,47 @@ def local_degree_min_map(F: MapLike, cfg: SolveConfig = SolveConfig()) -> Degree
 def _regular_value_estimate(
     F: PolynomialMap, zero: ZeroConeReport, cfg: SolveConfig
 ) -> DegreeEstimate:
-    """local_degree_min_map past its input checks, given F's zero-cone report."""
+    """local_degree_min_map past its input checks, given F's zero-cone report.
+
+    The ball: write a solution of PCP(F, c) as x = t u with t = |x|_inf,
+    u >= 0 and |u|_inf = 1, and let d be the degree of F. Per index either
+    x_i > 0 and t^d F_i(u) = -c_i, or u_i = 0 and t^d F_i(u) >= -c_i; both
+    give |min{u_i, F_i(u)}| <= |c|_inf / t^d. So t <= (|c|_inf / mu)^(1/d),
+    mu being the least |min{u, F(u)}|_inf on the face, and the same holds
+    for every s c with s in [0, 1]. The sweep covers twice that radius, at
+    least 2, with mu replaced by its sample mu_hat (diagnostics["mu_hat"]);
+    a radius above _BALL_CAP is refused.
+    """
     if not zero.zero_only:
         raise InvalidInputError(
             "degree at the origin needs SOL(f_inf,0)={0}; "
             f"found nonzero solution {zero.witness}"
         )
     rng = np.random.default_rng(cfg.seed)
-    deg, p, pre, diag = _regular_value_degree(F, np.zeros(F.dim), rng, cfg.tolerances)
-    diag["assumptions"] = {"zero_only_samples": zero.samples, "one_sided": True}
-    margins = [m for _, _, m in pre if np.isfinite(m)]
+    mu = _face_residual(F, rng)
+
+    def attempt(c):
+        ratio = float(np.abs(c).max()) / mu if mu > 0 else np.inf
+        radius = 2.0 * max(1.0, ratio ** (1.0 / F.degree))
+        if radius > _BALL_CAP:
+            raise DegenerateInputError(
+                f"the sampled face minimum {mu:.3g} puts solutions out to radius "
+                f"{radius:.3g}, past the cap {_BALL_CAP}; the map may have zeros at infinity"
+            )
+        return radius, _signed_solutions(F, np.zeros(F.dim), c, radius, cfg)
+
+    c, (radius, sols) = _first_regular_value(rng, F.dim, attempt)
     return DegreeEstimate(
-        value=deg,
+        value=sum(s for _, s, _ in sols),
         method="regular-value",
-        regular_value=p,
-        preimages=[(x, s) for x, s, _ in pre],
-        tie_margin=min(margins) if margins else None,
-        diagnostics=diag,
+        regular_value=c,
+        preimages=[(x, s) for x, s, _ in sols],
+        tie_margin=min((m for _, _, m in sols), default=None),
+        diagnostics={
+            "radius": radius,
+            "mu_hat": mu,
+            "assumptions": {"zero_only_samples": zero.samples, "one_sided": True},
+        },
     )
 
 
@@ -500,10 +424,16 @@ def homotopy_invariance_check(
     end_map, end_q = stage(1.0)
 
     def region_degree(fmap_t, q_t):
-        deg, _, _, _ = _regular_value_degree(
-            fmap_t, q_t, rng, tols, fixed_radius=omega, boundary_samples=bsamp
-        )
-        return deg
+        def attempt(c):
+            gb = np.abs(np.minimum(bsamp, fmap_t.eval_batch(bsamp) + q_t)).max(axis=1)
+            if float(gb.min()) < 10.0 * float(np.abs(c).max()):
+                raise _Retry("map too small on the region boundary")
+            sols = _signed_solutions(fmap_t, q_t, c, omega, cfg)
+            if any(np.abs(x).max() > 0.9 * omega for x, _, _ in sols):
+                raise _Retry("solution near the region boundary")
+            return sum(s for _, s, _ in sols)
+
+        return _first_regular_value(rng, n, attempt)[1]
 
     try:
         deg0 = region_degree(start_map, start_q)

@@ -4,13 +4,13 @@ The natural residual Phi(x) = min{x, f(x)+q} vanishes exactly at solutions,
 so solving is root finding on Phi. One engine, _newton_batch, runs damped
 semismooth Newton from many starts at once: on the min map its generalized
 Jacobian takes row e_i where x_i < (f(x)+q)_i and the f-row otherwise, ties
-going to the f-row. The 2^n smooth pieces of min{x, f(x)+q} = p run on it
-as masked rows: on the piece of an index set beta, x_i = p_i off beta and
-f_beta(x) + (q-p)_beta = 0, and the rows of every piece and start share
-one call. Solutions are the pieces with p = 0; the degree module counts
-preimages of a small p with q = 0 on the same pieces. solve runs the
-engine from its two deterministic starts first and from its seeded cloud
-only when neither gives a verified solution.
+going to the f-row. The 2^n smooth pieces of min{x, f(x)+q} = 0 run on it
+as masked rows: on the piece of an index set beta, x_i = 0 off beta and
+f_beta(x) + q_beta = 0, and the rows of every piece and start share one
+call. The degree module counts the solutions of a slightly shifted q on
+the same sweep. solve runs the engine from its two deterministic starts
+first and from its seeded cloud only when neither gives a verified
+solution.
 
 enumerate_solutions is the exhaustive desk-scale oracle: one engine call
 runs every piece from a deterministic grid, and each piece's roots are
@@ -163,14 +163,14 @@ def _solve_rows(J: np.ndarray, r: np.ndarray, k: np.ndarray, off, singular_tol: 
 
 
 def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, box_cap: float,
-                  beta: np.ndarray | None = None, p: np.ndarray | None = None,
-                  max_iters: int = _NEWTON_ITERS):
-    """Damped semismooth Newton from all rows of X0 at once.
+                  beta: np.ndarray | None = None):
+    """Damped semismooth Newton from all rows of X0 at once, for
+    _NEWTON_ITERS iterations (read at call time).
 
     Without beta the rows solve min{x, f(x)+q} = 0. With a (B, n) boolean
-    beta, row b solves the masked piece where(beta_b, f(x)+q-p, x-p) = 0:
-    its Jacobian keeps the f-block on beta_b with identity rows and columns
-    elsewhere, so x_i stays p_i off beta_b (where X0 must hold p), det J =
+    beta, row b solves the masked piece where(beta_b, f(x)+q, x) = 0: its
+    Jacobian keeps the f-block on beta_b with identity rows and columns
+    elsewhere, so x_i stays 0 off beta_b (where X0 must hold 0), det J =
     det J_(beta_b, beta_b), and the singular-scale exponent is |beta_b|.
 
     Armijo backtracking on the squared residual as a step ladder: the
@@ -182,16 +182,13 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, box_cap: float,
     """
     X = np.clip(np.array(X0, dtype=np.float64, copy=True), -box_cap, box_cap)
     B, n = X.shape
-    if beta is None:
-        shift, k, off = q, np.full(B, n), None
-    else:
-        shift, k, off = q - p, beta.sum(axis=1), ~beta
+    k, off = (np.full(B, n), None) if beta is None else (beta.sum(axis=1), ~beta)
 
     def residual(Xr, rows):
-        Y = _blockwise(f.eval_batch, Xr) + shift
+        Y = _blockwise(f.eval_batch, Xr) + q
         if off is None:
             return np.minimum(Xr, Y), Y
-        return np.where(off[rows], Xr - p, Y), Y
+        return np.where(off[rows], Xr, Y), Y
 
     def jacobian(Xr, Y, rows):
         J = _blockwise(f.jacobian_batch, Xr)
@@ -211,7 +208,7 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, box_cap: float,
     converged = rn <= tol
     dead = np.zeros(B, dtype=bool)
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(_NEWTON_ITERS):
         act = np.nonzero(~converged & ~dead)[0]
         if act.size == 0:
             break
@@ -242,16 +239,16 @@ def _newton_batch(f, q: np.ndarray, X0: np.ndarray, tol: float, box_cap: float,
     return X, converged, rn, iters
 
 
-def _stack_pieces(p: np.ndarray, pieces: list[tuple], nodes: np.ndarray):
+def _stack_pieces(n: int, pieces: list[tuple], nodes: np.ndarray):
     """Full-row starts and branch masks of masked pieces for _newton_batch.
 
     Piece j takes the f-branch on the indices pieces[j]; its starts are the
-    grid nodes^|pieces[j]| on those coordinates and p on the others.
+    grid nodes^|pieces[j]| on those coordinates and 0 on the others.
     Returns (X0, beta, offsets); piece j owns rows offsets[j]:offsets[j+1].
     """
     starts = [np.array(list(itertools.product(nodes, repeat=len(idx)))) for idx in pieces]
     offsets = np.cumsum([0] + [U.shape[0] for U in starts])
-    X0 = np.repeat(p[None, :], offsets[-1], axis=0)
+    X0 = np.zeros((offsets[-1], n))
     beta = np.zeros(X0.shape, dtype=bool)
     for j, (idx, U) in enumerate(zip(pieces, starts)):
         X0[offsets[j] : offsets[j + 1], list(idx)] = U
@@ -418,14 +415,23 @@ def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
     tols = cfg.tolerances
     R = cfg.search_radius
     pieces = [a for size in range(1, n + 1) for a in itertools.combinations(range(n), size)]
-    X0, beta, offsets = _stack_pieces(np.zeros(n), pieces, np.linspace(0.0, R, per_axis))
+    X0, beta, offsets = _stack_pieces(n, pieces, np.linspace(0.0, R, per_axis))
     X, converged, rn, _ = _newton_batch(
-        f, q, X0, tol=max(1e-13, tols.root / 100.0), box_cap=4.0 * R, beta=beta, p=np.zeros(n)
+        f, q, X0, tol=max(1e-13, tols.root / 100.0), box_cap=4.0 * R, beta=beta
     )
     # residual-based acceptance, floored by the evaluation noise at each
     # point; the converged flag alone would drop roots whose noise floor
-    # sits above the Newton tolerance
-    gate = np.maximum(tols.root, _float_noise_floor(f, q, X))
+    # sits above the Newton tolerance. A root must lie in [0, R]^n, and
+    # f(x)+q must be nonnegative off alpha up to the noise floor at x.
+    rows = np.nonzero(
+        (rn <= np.maximum(tols.root, _float_noise_floor(f, q, X)))
+        & (X.min(axis=1) >= -tols.feasibility)
+        & (np.abs(X).max(axis=1) <= R * (1 + 1e-9))
+    )[0]
+    Xc = _clean(np.maximum(X[rows], 0.0))
+    y_tol = np.maximum(tols.feasibility, _float_noise_floor(f, q, Xc))
+    signs_ok = (beta[rows] | (_blockwise(f.eval_batch, Xc) + q >= -y_tol[:, None])).all(axis=1)
+    rows, Xc = rows[signs_ok], Xc[signs_ok]
     found: list[np.ndarray] = []
     diag: dict[str, dict] = {}
     if q.min() >= -tols.feasibility:
@@ -436,19 +442,7 @@ def _enumerate_once(inst: PcpInstance, cfg: SolveConfig, per_axis: int):
     for j, alpha in enumerate(pieces):
         lo, hi = offsets[j], offsets[j + 1]
         key = ",".join(str(i + 1) for i in alpha)
-        comp = [i for i in range(n) if i not in alpha]
-        roots: list[np.ndarray] = []
-        for b in lo + np.nonzero(rn[lo:hi] <= gate[lo:hi])[0]:
-            u = X[b]
-            if u.min() < -tols.feasibility or np.abs(u).max() > R * (1 + 1e-9):
-                continue
-            x = _clean(np.maximum(u, 0.0))
-            y = inst.y(x)
-            y_tol = max(tols.feasibility, float(_float_noise_floor(f, q, x)))
-            if comp and min(y[i] for i in comp) < -y_tol:
-                continue
-            roots.append(x)
-        roots = _dedupe(roots, tols.dedupe)
+        roots = _dedupe(list(Xc[(rows >= lo) & (rows < hi)]), tols.dedupe)
         if roots:
             diag[key] = {"status": f"roots:{len(roots)}"}
             found.extend(roots)
@@ -519,12 +513,12 @@ class ZeroConeReport(Report):
 
 
 def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
-                          tols: Tolerances, unique_starts: bool = False):
+                          tols: Tolerances):
     """Nonzero roots of min{u, F(u)} = 0 from nonnegative unit starts.
 
-    Starts: arc angles on the quarter circle (dim 2) or the normalized points
-    of {0..levels-1}^n minus the origin, then extra seeded random directions;
-    unique_starts merges starts within 1e-9. Semismooth Newton polishes every
+    Starts: arc angles on the quarter circle (dim 2) or the normalized
+    primitive points of {0..levels-1}^n (gcd 1, so no ray repeats), then
+    extra seeded random directions. Semismooth Newton polishes every
     start to tol; each converged root of norm above 1e-6 is normalized back
     onto the sphere and kept, in start order, as (start, u, residual) when
     its residual is within tols.feasibility. Returns (starts, roots).
@@ -534,13 +528,11 @@ def _orthant_sphere_roots(F, rng, arc: int, levels: int, extra: int, tol: float,
         ang = np.linspace(0.0, np.pi / 2.0, arc)
         U0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
-        grid = np.array(list(itertools.product(np.arange(float(levels)), repeat=n)))
-        grid = grid[np.abs(grid).sum(axis=1) > 0]
+        grid = np.array(list(itertools.product(range(levels), repeat=n)))
+        grid = grid[np.gcd.reduce(grid, axis=1) == 1]
         U0 = grid / np.linalg.norm(grid, axis=1, keepdims=True)
     r = np.abs(rng.normal(size=(extra, n)))
     U0 = np.vstack([U0, r / np.maximum(np.linalg.norm(r, axis=1, keepdims=True), 1e-12)])
-    if unique_starts:
-        U0 = np.array(_dedupe(list(U0), 1e-9))
     X, converged, _, _ = _newton_batch(F, np.zeros(n), U0, tol=tol, box_cap=100.0)
     roots = []
     for b in np.nonzero(converged)[0]:
@@ -560,15 +552,15 @@ def check_sol_infty_zero(f: MapLike, cfg: SolveConfig = SolveConfig()) -> ZeroCo
     Samples the nonnegative unit sphere (random directions drawn with
     cfg.seed), polishes with semismooth Newton on the homogeneous min map,
     normalizes any nonzero root back to the sphere and re-verifies. The
-    zero-only verdict is a one-sided certificate.
+    witness is the root polished from the lexicographically least start.
+    The zero-only verdict is a one-sided certificate.
     """
     U0, roots = _orthant_sphere_roots(
         leading_term(as_map(f)), np.random.default_rng(cfg.seed), arc=41, levels=5,
         extra=64, tol=max(1e-13, cfg.tolerances.root / 100.0), tols=cfg.tolerances,
-        unique_starts=True,
     )
     if roots:
-        start, u, _ = roots[0]
+        start, u, _ = min(roots, key=lambda root: tuple(root[0]))
         return ZeroConeReport(
             verdict="nonzero-solution-found",
             witness=u,

@@ -11,6 +11,7 @@ from pcpkit.degree import (
     winding_degree_2d,
 )
 from pcpkit.errors import InvalidInputError
+from pcpkit.lcp import lcp_degree
 from pcpkit.solver import SolveConfig, verify_solution
 from pcpkit.tensor_core import PcpInstance, PolynomialMap, Tensor
 
@@ -133,8 +134,8 @@ def test_stability_probe_checks_each_zero_cone_once(monkeypatch):
 
 
 def test_tie_at_a_preimage_redraws_p(monkeypatch):
-    # |p_1| = 1e-7 is below tie_margin: the preimage p itself has both
-    # branches of index 1 within the margin, so the draw is refused
+    # c = (1e-7, 5e-3) >= 0 makes x = 0 a solution of PCP(F, c) whose slack
+    # min_i max(x_i, y_i) = 1e-7 is below tie_margin, so the draw is refused
     draw = degree_module._draw_p
     draws = []
 
@@ -142,22 +143,32 @@ def test_tie_at_a_preimage_redraws_p(monkeypatch):
         draws.append(np.array([1e-7, 5e-3]) if not draws else draw(rng, n))
         return draws[-1]
 
-    preimages = degree_module._preimage_set
+    signed = degree_module._signed_solutions
     reasons = []
 
     def recording(*args, **kwargs):
         try:
-            return preimages(*args, **kwargs)
+            return signed(*args, **kwargs)
         except degree_module._Retry as e:
             reasons.append(str(e))
             raise
 
     monkeypatch.setattr(degree_module, "_draw_p", tie_first)
-    monkeypatch.setattr(degree_module, "_preimage_set", recording)
+    monkeypatch.setattr(degree_module, "_signed_solutions", recording)
     est = local_degree_min_map(diag_cube())
-    assert reasons == ["near-tie between branches at a preimage"]
+    assert reasons == ["near-tie between branches at a solution"]
     assert len(draws) == 2 and np.array_equal(est.regular_value, draws[1])
     assert est.value == 1
+
+
+def test_homotopy_without_a_regular_value_is_inconclusive(monkeypatch):
+    # every draw ties at x = 0 of the t = 0 end map: no regular value
+    monkeypatch.setattr(degree_module, "_draw_p", lambda rng, n: np.array([1e-7, 5e-3]))
+    f = PolynomialMap([diag_cube(), Tensor(0.5 * np.eye(2))])
+    h = homotopy_invariance_check(f, "to-leading-term", q=np.array([-1.0, -1.0]))
+    assert h.status == "inconclusive"
+    assert h.degree_start is None and h.degree_end is None
+    assert h.diagnostics["note"].startswith("no regular value found in 20 draws")
 
 
 def test_winding_bisects_coarse_arcs(monkeypatch):
@@ -178,9 +189,10 @@ def test_input_errors_name_the_argument(call, name):
 
 
 def test_degree_kernel_call_budget(monkeypatch):
-    # one engine call per preimage sweep, with the Armijo step lengths of a
-    # Newton step evaluated together: at most a third of the 821
-    # Tensor.apply_batch calls that one evaluation per halving took
+    # one enumeration sweep, with the Armijo step lengths of a Newton step
+    # evaluated together and its roots accepted array-wise: at most a
+    # third of the 821 Tensor.apply_batch calls that one evaluation per
+    # halving took
     apply = Tensor.apply_batch
     calls = [0]
 
@@ -207,3 +219,22 @@ def test_karamardian_homotopy_enumerates_its_end_point_once(monkeypatch):
     h = homotopy_invariance_check(diag_cube(), "karamardian", d=np.ones(2))
     assert h.verified
     assert len(calls) == 11
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_far_solution_counts_in_two_dimensions(seed):
+    # SOL(F, c) has a solution far beyond radius 1 that a sweep stopping
+    # when two radii agree missed, and the winding check then refused
+    A = np.array([[-1.067, 0.936], [0.612, -0.072]])
+    assert lcp_degree(A).value == -1
+    d = tensor_degree(matrix_power_tensor(A, 5), cfg=SolveConfig(seed=seed))
+    assert d.value == -1 and d.diagnostics["methods_agree"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_near_degenerate_face_counts_in_three_dimensions(seed):
+    # |min{u, F(u)}| dips to ~2e-8 on the unit face of support {2, 3}, so the
+    # ball holding SOL(F, c) is wide; the count must still match the matrix
+    A = np.array([[-1.114, -0.002, 0.304], [-1.414, -1.056, 1.285], [-1.289, -1.111, 1.345]])
+    d = tensor_degree(matrix_power_tensor(A, 3), cfg=SolveConfig(seed=seed))
+    assert d.value == lcp_degree(A).value == 1

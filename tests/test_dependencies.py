@@ -45,4 +45,5 @@ def test_seed_and_knobs_have_one_source():
         "seed", "search_radius", "grid_per_axis", "pattern_dim_cap", "confirm_grid", "tolerances"
     ]
     engine = set(inspect.signature(solver._newton_batch).parameters)
-    assert not {"armijo_factor", "max_halvings"} & engine
+    assert not {"armijo_factor", "max_halvings", "max_iters", "p"} & engine
+    assert "unique_starts" not in inspect.signature(solver._orthant_sphere_roots).parameters
