@@ -7,10 +7,12 @@ Jacobian takes row e_i where x_i < (f(x)+q)_i and the f-row otherwise, ties
 going to the f-row. The 2^n smooth pieces of min{x, f(x)+q} = 0 run on it
 as masked rows: on the piece of an index set beta, x_i = 0 off beta and
 f_beta(x) + q_beta = 0, and the rows of every piece and start share one
-call. The degree module counts the solutions of a slightly shifted q on
-the same sweep. solve runs the engine from its two deterministic starts
-first and from its seeded cloud only when neither gives a verified
-solution.
+call. Its Newton directions come from cofactor formulas on stacks of n <= 4
+unknowns and at least _CLOSED_FORM_ROWS[n] rows, from LAPACK otherwise, and
+from a stacked pseudo-inverse on singular rows. The degree module counts the
+solutions of a slightly shifted q on the same sweep. solve runs the engine
+from its two deterministic starts first and from its seeded cloud only when
+neither gives a verified solution.
 
 enumerate_solutions is the exhaustive desk-scale oracle: one engine call
 runs every piece from a deterministic grid, and each piece's roots are
@@ -127,6 +129,15 @@ _KERNEL_ROWS = 4096
 _NEWTON_ITERS = 100
 _STEP_LADDER = 0.5 ** np.arange(31)
 _MULTISTART = 64
+# _solve_rows takes the cofactor formulas of _cramer for an n x n stack
+# (n <= 4) of at least _CLOSED_FORM_ROWS[n] rows, in blocks of
+# _CLOSED_FORM_BLOCK rows, and np.linalg.det + solve below that. The counts
+# are where the two timed about even (best of 1000 calls on random stacks,
+# one BLAS thread, a shared 2-core x86-64 machine): the formulas cost about
+# 15, 35, 60 and 140 us per call for n = 1..4 besides a per-row cost well
+# under LAPACK's.
+_CLOSED_FORM_ROWS = (0, 32, 96, 160, 320)
+_CLOSED_FORM_BLOCK = 2048
 
 
 def _blockwise(fn, X: np.ndarray) -> np.ndarray:
@@ -135,21 +146,75 @@ def _blockwise(fn, X: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(X[i : i + _KERNEL_ROWS]) for i in range(0, X.shape[0], _KERNEL_ROWS)])
 
 
+def _cramer(T: np.ndarray, v: np.ndarray):
+    """det T and the Cramer numerators det T_j, T_j being T with column j
+    replaced by v, for a stack T of shape (n, n, b), n <= 4, and v of shape
+    (n, b); then T x = v has x_j = det T_j / det T. Each determinant is a
+    Laplace expansion along rows {0, 1}, whose 2 x 2 minors, and those of
+    rows {2, 3}, all n + 1 determinants share."""
+    n = T.shape[0]
+    if n == 1:
+        return T[0, 0], [v[0]]
+    col = [T[:, j] for j in range(n)] + [v]  # col[c][i] is entry (i, c); column n is v
+    memo = {}
+
+    def minor(i, a, b):  # rows i, i + 1 and columns a < b
+        if (i, a, b) not in memo:
+            memo[i, a, b] = col[a][i] * col[b][i + 1] - col[b][i] * col[a][i + 1]
+        return memo[i, a, b]
+
+    def det(labels):
+        terms = [[], []]  # added, subtracted
+        for p, q in itertools.combinations(range(n), 2):
+            (a, b), rest = (labels[p], labels[q]), [c for t, c in enumerate(labels) if t not in (p, q)]
+            # the term's sign is (-1)^(p+q+1), flipped for each of its two
+            # minors whose columns come out of order (minor keeps a < b)
+            odd = (p + q + 1 + (a > b) + (rest[0] > rest[-1] if rest else 0)) % 2
+            term = minor(0, min(a, b), max(a, b))
+            if n == 3:
+                term = term * col[rest[0]][2]
+            elif n == 4:
+                term = term * minor(2, min(rest), max(rest))
+            terms[odd].append(term)
+        add = sum(terms[0][1:], terms[0][0]) if terms[0] else 0.0
+        return add - sum(terms[1][1:], terms[1][0]) if terms[1] else add
+
+    cols = list(range(n))
+    return det(cols), [det(cols[:j] + [n] + cols[j + 1 :]) for j in cols]
+
+
 def _solve_rows(J: np.ndarray, r: np.ndarray, k: np.ndarray, off, singular_tol: float) -> np.ndarray:
     """Directions d with J d = -r, rowwise. A row with |det J| <= singular_tol
     * max(1, max|J|^k) takes the minimum-norm least-squares direction of its
     k x k system (np.linalg.lstsq(rcond=None)'s cutoff), from one stacked
     pseudo-inverse that leaves out the identity entries marked by off;
-    d is exactly 0 where off is set."""
-    dets = np.linalg.det(J)
-    scale = np.maximum(1.0, np.abs(J).max(axis=(1, 2)) ** k)
-    good = np.abs(dets) > singular_tol * scale
-    if good.all():
-        d = np.linalg.solve(J, -r[..., None])[..., 0]
+    d is exactly 0 where off is set.
+
+    For n <= 4 and at least _CLOSED_FORM_ROWS[n] rows, det J and the
+    direction d = adj(J)(-r) / det J of each row that passes the test come
+    from _cramer on contiguous (n, n, rows) copies of J, _CLOSED_FORM_BLOCK
+    rows at a time, each block also giving its max|J|. Smaller stacks and
+    n >= 5 take np.linalg.det and np.linalg.solve. A masked row's identity
+    rows and columns make either det equal det J_(beta, beta)."""
+    B, n = r.shape
+    if n < len(_CLOSED_FORM_ROWS) and B >= _CLOSED_FORM_ROWS[n]:
+        d, good = np.empty_like(r), np.empty(B, dtype=bool)
+        for i in range(0, B, _CLOSED_FORM_BLOCK):
+            s = slice(i, i + _CLOSED_FORM_BLOCK)
+            T = np.ascontiguousarray(J[s].transpose(1, 2, 0))
+            det, num = _cramer(T, np.ascontiguousarray(r[s].T))
+            good[s] = np.abs(det) > singular_tol * np.maximum(1.0, np.abs(T).max(axis=(0, 1)) ** k[s])
+            d[s] = (np.stack(num) / np.where(good[s], -det, 1.0)).T
     else:
-        d = np.empty_like(r)
-        if np.any(good):
-            d[good] = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
+        dets = np.linalg.det(J)
+        good = np.abs(dets) > singular_tol * np.maximum(1.0, np.abs(J).max(axis=(1, 2)) ** k)
+        if good.all():
+            d = np.linalg.solve(J, -r[..., None])[..., 0]
+        else:
+            d = np.empty_like(r)
+            if np.any(good):
+                d[good] = np.linalg.solve(J[good], -r[good][..., None])[..., 0]
+    if not good.all():
         bad = ~good
         Jb = J[bad]
         if off is not None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -577,6 +578,101 @@ def test_stacked_least_squares_matches_lstsq():
         if abs(np.linalg.det(Jm[b])) <= 1e-14 * max(1.0, np.abs(Jm[b]).max() ** 3):
             assert np.abs(d[b, beta] - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
             assert d[b, 1] == 0.0
+
+
+# _CLOSED_FORM_ROWS values that send every n x n stack to one path of _solve_rows
+_PATHS = {"closed-form": (0,) * 5, "lapack": (np.inf,) * 5}
+
+
+def _direction_stack(rng, B, n):
+    """B rows of J d = -r: in turn plain, plain, masked and exactly singular
+    (one zero f-row, as (Ax)^[k] has at x = 0). The plain and masked blocks
+    have singular values in [0.5, 2] times a row scale in [1e-2, 1e2]."""
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(B, n, n)))[0] for _ in range(2))
+    J = (Q1 * rng.uniform(0.5, 2.0, (B, 1, n))) @ Q2 * 10.0 ** rng.uniform(-2, 2, (B, 1, 1))
+    r = rng.normal(size=(B, n))
+    off = np.zeros((B, n), dtype=bool)
+    off[2::4] = rng.random((len(range(2, B, 4)), n)) < 0.5
+    bi, ci = np.nonzero(off)
+    J[bi, ci, :] = 0.0
+    J[bi, :, ci] = 0.0
+    J[bi, ci, ci] = 1.0
+    r[off] = 0.0
+    J[np.arange(3, B, 4), np.arange(3, B, 4) % n, :] = 0.0
+    return J, r, off
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_closed_form_directions_match_lapack(n, side, monkeypatch):
+    rng = np.random.default_rng(n)
+    B = solver_module._CLOSED_FORM_ROWS[n] + (-5 if side == "below" else 5)
+    J, r, off = _direction_stack(rng, B, n)
+    k = n - off.sum(axis=1)
+    det, _ = solver_module._cramer(np.ascontiguousarray(J.transpose(1, 2, 0)), r.T)
+    ref_det = np.linalg.det(J)
+    assert np.all(np.abs(det - ref_det) <= 1e-13 * np.abs(ref_det))
+    default = _solve_rows(J, r, k, off, singular_tol=1e-14)
+    monkeypatch.setattr(solver_module, "_CLOSED_FORM_BLOCK", 64)  # several blocks
+    d = {}
+    for path, rows in _PATHS.items():
+        monkeypatch.setattr(solver_module, "_CLOSED_FORM_ROWS", rows)
+        d[path] = _solve_rows(J, r, k, off, singular_tol=1e-14)
+    assert np.array_equal(default, d["lapack" if side == "below" else "closed-form"])
+    singular = np.arange(B) % 4 == 3
+    assert np.array_equal(d["closed-form"][singular], d["lapack"][singular])
+    for got in d.values():
+        assert not got[off].any()
+        for b in range(B):
+            keep = ~off[b]
+            if singular[b]:
+                ref = np.linalg.lstsq(J[b], -r[b], rcond=None)[0]
+            else:
+                ref = np.linalg.solve(J[b][np.ix_(keep, keep)], -r[b, keep])
+            assert np.abs(got[b, keep] - ref).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(ref).max(initial=0.0))
+
+
+def test_closed_form_path_matches_lapack_path_in_the_engine(monkeypatch):
+    # all 16 pieces of PCP((Ax)^[3], q), A a P-matrix, from a 5-point grid:
+    # 1296 rows, of which the 15 that start at x_beta = 0 meet the zero
+    # Jacobian there, take the least-squares step and die
+    rng = np.random.default_rng(0)
+    n = 4
+    f = PolynomialMap([matrix_power_tensor(rng.uniform(-1, 1, (n, n)) + n * np.eye(n), 3)])
+    q = 1.5 * rng.normal(size=n)
+    pieces = [b for m in range(n + 1) for b in itertools.combinations(range(n), m)]
+    X0, beta, _ = _stack_pieces(n, pieces, np.linspace(0.0, 3.0, 5))
+    default_rows = solver_module._CLOSED_FORM_ROWS
+    calls = {"det": 0, "solve": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    runs = {}
+    for path, rows in _PATHS.items():
+        monkeypatch.setattr(solver_module, "_CLOSED_FORM_ROWS", rows)
+        calls.update(det=0, solve=0)
+        runs[path] = _newton_batch(f, q, X0, tol=1e-13, box_cap=50.0, beta=beta)
+        assert (calls == {"det": 0, "solve": 0}) == (path == "closed-form")
+    assert runs["lapack"][1].any() and not runs["lapack"][1].all()
+    _assert_same_run(runs["closed-form"], runs["lapack"])
+    # at the default crossover a stack of _CLOSED_FORM_ROWS[4] rows makes no
+    # LAPACK det or solve call, and one row fewer makes one of each
+    monkeypatch.setattr(solver_module, "_CLOSED_FORM_ROWS", default_rows)
+    B = default_rows[n]
+    J, r, _ = _direction_stack(rng, B, n)
+    for rows, want in ((B, 0), (B - 1, 1)):
+        calls.update(det=0, solve=0)
+        _solve_rows(J[:rows], r[:rows], np.full(rows, n), None, singular_tol=1e-14)
+        assert calls == {"det": want, "solve": want}
 
 
 def _piece_by_piece(monkeypatch, module):
